@@ -9,7 +9,7 @@
 //! every radix-list move, page-freelist splice, and counter, with the
 //! vmblk boundary-tag lock behind it and no whole-page cache).
 //!
-//! Two measurements are taken and both land in `BENCH_page.json`:
+//! Three measurements are taken and all land in `BENCH_page.json`:
 //!
 //! * **Wall clock** on the host, ns per alloc+free pair per OS-thread
 //!   count. Informational: on a small host (this repo's CI box has one
@@ -24,6 +24,12 @@
 //!   predates the probe layer, so this bench emits its under-lock
 //!   shared-line traffic explicitly — the same modelling the `analysis`
 //!   module applies to the paper's measured allocator.
+//! * **Per-class fill and drain**, ns per block on one thread: the
+//!   lock-free layer of each class from 16 B to 2 KB fills 256 fresh
+//!   pages in `target`-block refills, then takes the blocks back in
+//!   `target`-block chains shuffled from the report's seed — one class
+//!   pass of the Figure-9 sweep, where the cost of a refill or a drain
+//!   must not depend on how many blocks a page holds.
 //!
 //! The asserted shape pin is on the simulated 8-CPU point: the lock-free
 //! layer must beat the spinlocked baseline there, and the baseline must
@@ -42,10 +48,11 @@ use kmem::chain::Chain;
 use kmem::pagedesc::{PageDesc, PdKind, PdList};
 use kmem::pagelayer::PageLayer;
 use kmem::vmblklayer::VmblkLayer;
-use kmem::Faults;
+use kmem::{ClassConfig, Faults};
 use kmem_sim::{SimConfig, Simulator};
 use kmem_smp::probe::{self, ProbeEvent};
 use kmem_smp::SpinLock;
+use kmem_testkit::Rng;
 use kmem_vm::{KernelSpace, SpaceConfig, VmError, PAGE_SIZE};
 
 const BLOCK_SIZE: usize = 512;
@@ -59,6 +66,11 @@ const OPS_PER_THREAD: usize = 50_000;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Timed repetitions per (layer, thread count); the minimum is reported.
 const REPS: usize = 7;
+
+/// Orders the per-class drain; recorded as the report's seed.
+const SEED: u64 = 0x5EED_0C1A_55E5;
+/// Pages each class fills and drains in the per-class probe.
+const CLASS_PAGES: usize = 256;
 
 /// Simulated-SMP sweep points.
 const SIM_CPUS: [usize; 4] = [1, 2, 4, 8];
@@ -406,6 +418,63 @@ fn sim_point(pool: &dyn PagePool, ncpus: usize) -> (f64, f64) {
     (result.ops_per_sec(), wait_frac)
 }
 
+/// Fills [`CLASS_PAGES`] fresh pages of `block_size`-byte blocks through
+/// `target`-block refills, then drains them through `target`-block
+/// chains in seeded shuffled order. Returns (fill, drain) in ns per
+/// block, each the minimum over [`REPS`] passes after a warm-up pass.
+fn class_fill_drain(block_size: usize) -> (f64, f64) {
+    let target = ClassConfig::with_heuristics(block_size).target;
+    let blocks = CLASS_PAGES * (PAGE_SIZE / block_size);
+    // One default-sized (4 MB) vmblk holds all the pages, as in an arena.
+    let space = Arc::new(KernelSpace::new(SpaceConfig::new(32 << 20)));
+    let pool = LockFree {
+        vm: VmblkLayer::new_with_cache(space, true, Faults::none()),
+        layer: PageLayer::new(CLASS, block_size, true),
+    };
+    let mut rng = Rng::new(SEED ^ block_size as u64);
+    let mut held: Vec<Chain> = Vec::with_capacity(blocks / target + 1);
+    let mut ptrs: Vec<*mut u8> = Vec::with_capacity(blocks + target);
+    let (mut fill, mut drain) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..=REPS {
+        let mut got = 0;
+        let start = Instant::now();
+        while got < blocks {
+            let chain = pool.alloc(target).expect("bench sized for no pressure");
+            got += chain.len();
+            held.push(chain);
+        }
+        let fill_ns = start.elapsed().as_nanos() as f64 / got as f64;
+        for mut chain in held.drain(..) {
+            while let Some(blk) = chain.pop() {
+                ptrs.push(blk);
+            }
+        }
+        rng.shuffle(&mut ptrs);
+        for group in ptrs.chunks(target) {
+            let mut chain = Chain::new();
+            for &blk in group {
+                // SAFETY: popped from this pool's chains above; each
+                // block enters exactly one chain.
+                unsafe { chain.push(blk) };
+            }
+            held.push(chain);
+        }
+        let start = Instant::now();
+        for chain in held.drain(..) {
+            // SAFETY: the chain holds free blocks of this pool's class.
+            unsafe { pool.free(chain) };
+        }
+        let drain_ns = start.elapsed().as_nanos() as f64 / got as f64;
+        ptrs.clear();
+        if rep > 0 {
+            fill = fill.min(fill_ns);
+            drain = drain.min(drain_ns);
+        }
+    }
+    pool.assert_drained();
+    (fill, drain)
+}
+
 fn main() {
     // Wall clock: informational on a small host (see module docs).
     let mut wall = Vec::new();
@@ -429,6 +498,17 @@ fn main() {
         wall.push((threads, spin, lockfree));
     }
 
+    // Per class: what a block costs to fill and to drain, 16 B to 2 KB.
+    let mut per_class = Vec::new();
+    for shift in 4..=11 {
+        let (fill, drain) = class_fill_drain(1 << shift);
+        println!(
+            "page_contention/class {:>4} B   fill {fill:>6.1} ns/block   drain {drain:>6.1} ns/block",
+            1 << shift
+        );
+        per_class.push((1usize << shift, fill, drain));
+    }
+
     // Simulated SMP: the priced comparison the assertion pins.
     let mut sim = Vec::new();
     for ncpus in SIM_CPUS {
@@ -445,10 +525,11 @@ fn main() {
         sim.push((ncpus, spin_rate, lf_rate, spin_wait));
     }
 
-    let mut report = kmem_bench::BenchReport::new("page_contention", 0).config(|c| {
+    let mut report = kmem_bench::BenchReport::new("page_contention", SEED).config(|c| {
         c.usize("block_size", BLOCK_SIZE)
             .usize("chain_len", WANT)
-            .usize("ops_per_thread", OPS_PER_THREAD);
+            .usize("ops_per_thread", OPS_PER_THREAD)
+            .usize("class_pages", CLASS_PAGES);
     });
     report
         .body()
@@ -456,6 +537,13 @@ fn main() {
             row.usize("threads", threads)
                 .f64("spinlock_ns", spin, 1)
                 .f64("lockfree_ns", lockfree, 1);
+        });
+    report
+        .body()
+        .arr("per_class", &per_class, |&(size, fill, drain), row| {
+            row.usize("block_size", size)
+                .f64("fill_ns_per_block", fill, 1)
+                .f64("drain_ns_per_block", drain, 1);
         });
     report.body().obj("sim", |s| {
         s.u64("pairs_per_cpu", SIM_PAIRS_PER_CPU)

@@ -7,20 +7,31 @@
 //! to spans contain the boundary-tag information and free-list pointers
 //! needed to allocate and coalesce large blocks."
 //!
-//! # Locking
+//! # Who may touch what
 //!
 //! The `kind`/`class` discriminants are atomics because the *standard* free
 //! path reads them with no lock held: while a caller still owns a block of
-//! a page, that page cannot change role, so the read is stable. Everything
-//! inside [`PdInner`] is owned by whichever layer currently owns the page —
-//! the class's page layer for block pages, the vmblk layer for spans — and
-//! is only touched under that layer's lock.
+//! a page, that page cannot change role, so the read is stable.
+//!
+//! A block page's live state is lock-free. Its free count and listing
+//! flags (`state`), its block freelist (`afree`) and its bucket linkage
+//! (`anext`) are tagged or plain atomics driven by the class's page layer
+//! under the possession protocol described in `pagelayer`; no lock guards
+//! them, and the page layer never looks inside [`PdInner`].
+//!
+//! [`PdInner`] holds the boundary-tag state of spans and is only touched
+//! under the vmblk layer's lock. Its `freelist`/`free_count` fields serve
+//! the spinlocked page-layer baseline the benches compare against.
 
 use core::cell::UnsafeCell;
 use core::ptr;
-use core::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
+use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 
+use kmem_smp::probe::{self, ProbeEvent};
 use kmem_smp::{NodeId, TaggedAtomic};
+use kmem_vm::PAGE_SIZE;
+
+use crate::block::MIN_BLOCK;
 
 /// Role of a page, stored in its descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +70,8 @@ impl PdKind {
     }
 }
 
-/// Layer-owned page-descriptor state. See the module docs for the locking
-/// discipline.
+/// Lock-guarded page-descriptor state. See the module docs for who may
+/// touch it.
 pub struct PdInner {
     /// Block pages: head of the page's internal freelist.
     pub freelist: *mut u8,
@@ -476,6 +487,141 @@ impl Iterator for PdStackIter {
     }
 }
 
+/// Summary words covering one bucket per possible free count,
+/// `0..=PAGE_SIZE / MIN_BLOCK`.
+const SUMMARY_WORDS: usize = (PAGE_SIZE / MIN_BLOCK + 1).div_ceil(64);
+
+/// The radix buckets of one page layer: a [`PdStack`] per free count, and
+/// a summary bitmap of the buckets that may hold a page, so that picking
+/// a page costs a few word scans however many buckets the class has.
+///
+/// A pusher pushes the page and then sets bit `b` unless it reads it set.
+/// A popper that finds bucket `b` empty clears the bit, looks at the bucket
+/// again, and restores the bit if a page has arrived. Each side stores to
+/// one word and then loads the other — the store-buffering shape — so all
+/// four accesses (push, bit load; bit clear, second look) are `SeqCst`:
+/// in their single total order either the second look follows the push
+/// and finds the page, or the pusher's bit load follows the clear and
+/// finds the bit clear. Hence, whenever no push or pop is in flight, a
+/// non-empty bucket has its bit set. A set bit over an empty bucket costs
+/// the next scan one empty pop. A scan that runs ahead of a pusher's set
+/// sends its refill to a fresh page; the page it missed is listed all the
+/// same and its bit follows.
+///
+/// The words share one cache line, so a scan is one line read, and pushes
+/// to a bucket whose bit is already set leave that line shared.
+pub struct PdBuckets {
+    stacks: Box<[PdStack]>,
+    summary: Summary,
+}
+
+#[repr(align(64))]
+struct Summary([AtomicU64; SUMMARY_WORDS]);
+
+impl PdBuckets {
+    /// Creates `n` empty buckets, indexed `0..n`.
+    pub fn new(n: usize) -> Self {
+        assert!(n <= SUMMARY_WORDS * 64, "more buckets than summary bits");
+        PdBuckets {
+            stacks: (0..n).map(|_| PdStack::new()).collect(),
+            summary: Summary([const { AtomicU64::new(0) }; SUMMARY_WORDS]),
+        }
+    }
+
+    #[inline]
+    fn word(&self, b: usize) -> (&AtomicU64, u64) {
+        (&self.summary.0[b / 64], 1 << (b % 64))
+    }
+
+    #[inline]
+    fn emit(&self, ev: fn(usize) -> ProbeEvent) {
+        probe::emit(ev(probe::line_of(&self.summary)));
+    }
+
+    /// Pushes `pd` on bucket `b`, returning the failed CAS attempts.
+    ///
+    /// # Safety
+    ///
+    /// As [`PdStack::push`].
+    pub unsafe fn push(&self, b: usize, pd: *mut PageDesc) -> u64 {
+        // SAFETY: forwarded caller contract.
+        let retries = unsafe { self.stacks[b].push(pd) };
+        let (word, bit) = self.word(b);
+        self.emit(|line| ProbeEvent::LineRead { line });
+        if word.load(Ordering::SeqCst) & bit == 0 {
+            self.emit(|line| ProbeEvent::LineRmw { line });
+            word.fetch_or(bit, Ordering::SeqCst);
+        }
+        retries
+    }
+
+    /// Pops the top of bucket `b` as [`PdStack::pop`] does, clearing the
+    /// summary bit of a bucket found empty.
+    pub fn pop(&self, b: usize) -> (Option<*mut PageDesc>, u64) {
+        let popped = self.stacks[b].pop();
+        if popped.0.is_some() {
+            return popped;
+        }
+        let (word, bit) = self.word(b);
+        self.emit(|line| ProbeEvent::LineRead { line });
+        if word.load(Ordering::SeqCst) & bit != 0 {
+            self.emit(|line| ProbeEvent::LineRmw { line });
+            word.fetch_and(!bit, Ordering::SeqCst);
+            if !self.stacks[b].is_empty_hint() {
+                self.emit(|line| ProbeEvent::LineRmw { line });
+                word.fetch_or(bit, Ordering::SeqCst);
+            }
+        }
+        popped
+    }
+
+    /// The lowest bucket `>= from` whose summary bit is set.
+    pub fn first_set_from(&self, from: usize) -> Option<usize> {
+        self.emit(|line| ProbeEvent::LineRead { line });
+        let mut mask = !0u64 << (from % 64);
+        for w in from / 64..SUMMARY_WORDS {
+            let bits = self.summary.0[w].load(Ordering::SeqCst) & mask;
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// The highest bucket `<= upto` whose summary bit is set.
+    pub fn last_set_upto(&self, upto: usize) -> Option<usize> {
+        self.emit(|line| ProbeEvent::LineRead { line });
+        let mut mask = !0u64 >> (63 - upto % 64);
+        for w in (0..=upto / 64).rev() {
+            let bits = self.summary.0[w].load(Ordering::SeqCst) & mask;
+            if bits != 0 {
+                return Some(w * 64 + 63 - bits.leading_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// Iterates every listed descriptor, bucket by bucket (verification),
+    /// asserting on the way that each non-empty bucket has its bit set.
+    ///
+    /// # Safety
+    ///
+    /// As [`PdStack::iter`], for every bucket.
+    pub unsafe fn iter(&self) -> impl Iterator<Item = *mut PageDesc> + '_ {
+        self.stacks.iter().enumerate().flat_map(move |(b, stack)| {
+            let (word, bit) = self.word(b);
+            assert!(
+                stack.is_empty_hint() || word.load(Ordering::SeqCst) & bit != 0,
+                "bucket {b} holds pages but its summary bit is clear"
+            );
+            // SAFETY: forwarded caller contract.
+            unsafe { stack.iter() }
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,6 +764,39 @@ mod tests {
         let mut want = ptrs.clone();
         want.sort_unstable();
         assert_eq!(seen, want, "every descriptor back exactly once");
+    }
+
+    #[test]
+    fn buckets_summary_tracks_pushes_and_empty_pops() {
+        let mut pds = make_pds(3);
+        let ptrs: Vec<*mut PageDesc> = pds.iter_mut().map(|b| &mut **b as *mut _).collect();
+        let buckets = PdBuckets::new(257);
+        assert_eq!(buckets.first_set_from(0), None);
+        assert_eq!(buckets.last_set_upto(256), None);
+        // SAFETY: single-threaded test owns all descriptors.
+        unsafe {
+            buckets.push(3, ptrs[0]);
+            buckets.push(64, ptrs[1]);
+            buckets.push(256, ptrs[2]);
+            assert_eq!(buckets.iter().collect::<Vec<_>>(), ptrs);
+        }
+        // Scans cross word boundaries and honour their starting bucket.
+        assert_eq!(buckets.first_set_from(0), Some(3));
+        assert_eq!(buckets.first_set_from(4), Some(64));
+        assert_eq!(buckets.first_set_from(65), Some(256));
+        assert_eq!(buckets.first_set_from(257), None);
+        assert_eq!(buckets.last_set_upto(256), Some(256));
+        assert_eq!(buckets.last_set_upto(255), Some(64));
+        assert_eq!(buckets.last_set_upto(63), Some(3));
+        assert_eq!(buckets.last_set_upto(2), None);
+        // Taking the last page leaves the bit; the pop that finds the
+        // bucket empty clears it.
+        assert_eq!(buckets.pop(64).0, Some(ptrs[1]));
+        assert_eq!(buckets.first_set_from(4), Some(64));
+        assert_eq!(buckets.pop(64).0, None);
+        assert_eq!(buckets.first_set_from(4), Some(256));
+        assert_eq!(buckets.pop(3).0, Some(ptrs[0]));
+        assert_eq!(buckets.pop(256).0, Some(ptrs[2]));
     }
 
     #[test]

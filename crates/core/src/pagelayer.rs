@@ -47,6 +47,13 @@
 //! relisting the page at its true count, which keeps the radix policy —
 //! fewest-free-first under an ascending scan — exact in the absence of
 //! concurrent frees and a best-effort approximation under them.
+//!
+//! **Cost.** Every refill and drain is O(blocks moved). The scan reads the
+//! buckets' summary bitmap ([`PdBuckets`]) instead of every bucket head, a
+//! possessor takes its blocks by swinging the freelist head past them in
+//! one CAS, and a drain pays one freelist splice and one count add per
+//! same-page run. What is left over is the hunt, which pops and relists
+//! every page stacked above its target.
 
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
@@ -56,7 +63,7 @@ use kmem_vm::{VmError, PAGE_SIZE};
 
 use crate::block::{self, LinkKey};
 use crate::chain::Chain;
-use crate::pagedesc::{PageDesc, PdKind, PdStack};
+use crate::pagedesc::{PageDesc, PdBuckets, PdKind};
 use crate::vmblklayer::VmblkLayer;
 
 /// Statistics for one coalesce-to-page instance.
@@ -132,10 +139,10 @@ pub struct PageLayer {
     block_size: usize,
     blocks_per_page: usize,
     radix: bool,
-    /// `buckets[c]` lists pages listed with `c` free blocks (lazily: the
+    /// Bucket `c` lists pages listed with `c` free blocks (lazily: the
     /// true count may since have grown). Bucket 0 is unused; bucket
     /// `blocks_per_page` holds only fault-deferred full pages.
-    buckets: Box<[PdStack]>,
+    buckets: PdBuckets,
     /// Pages currently owned by this class.
     npages: AtomicUsize,
     /// Free blocks across all owned pages.
@@ -193,7 +200,7 @@ impl PageLayer {
             block_size,
             blocks_per_page,
             radix,
-            buckets: (0..=blocks_per_page).map(|_| PdStack::new()).collect(),
+            buckets: PdBuckets::new(blocks_per_page + 1),
             npages: AtomicUsize::new(0),
             free_blocks: AtomicUsize::new(0),
             key,
@@ -245,7 +252,7 @@ impl PageLayer {
         self.stats.refills.inc();
         let mut chain = Chain::new_keyed(self.key);
         while chain.len() < want {
-            let pd = match self.pop_page() {
+            let pd = match self.pop_page(vm) {
                 Some(pd) => pd,
                 None => match self.acquire_page(vm, preferred) {
                     Ok(pd) => pd,
@@ -272,9 +279,19 @@ impl PageLayer {
     /// Every block in `chain` must belong to this class (allocated through
     /// it) and be free and unaliased.
     pub unsafe fn free_chain(&self, vm: &VmblkLayer, mut chain: Chain) {
+        // Accounted once, and up front: a racing reader of `usage()` sees
+        // blocks in flight counted early, never a total that a concurrent
+        // reservation has already taken below zero.
+        let total = chain.len();
+        self.stats.block_frees.add(total as u64);
+        self.free_blocks.fetch_add(total, Ordering::Relaxed);
+        let mut spliced = 0;
+        // The descriptor that ended the previous run starts the next one.
+        let mut carried = None;
         while let Some(blk) = chain.pop() {
-            let pd = vm
-                .pd_of(blk as usize)
+            let pd = carried
+                .take()
+                .or_else(|| vm.pd_of(blk as usize))
                 .expect("freed block not managed by this allocator");
             debug_assert_eq!(pd.kind(), PdKind::BlockPage);
             debug_assert_eq!(pd.class(), self.class);
@@ -289,9 +306,10 @@ impl PageLayer {
             let mut run_head = blk;
             let mut k = 1u64;
             while let Some(next) = chain.peek() {
-                match vm.pd_of(next as usize) {
-                    Some(p) if ptr::eq(p, pd) => {}
-                    _ => break,
+                let next_pd = vm.pd_of(next as usize);
+                if !next_pd.is_some_and(|p| ptr::eq(p, pd)) {
+                    carried = next_pd;
+                    break;
                 }
                 chain.pop();
                 // SAFETY: `next` is free and ours per the function
@@ -301,7 +319,7 @@ impl PageLayer {
                 run_head = next;
                 k += 1;
             }
-            self.stats.block_frees.add(k);
+            spliced += k as usize;
 
             // Freelist before count: splice the run, then announce it, so
             // any CPU seeing the count can also pop the blocks it promises.
@@ -317,7 +335,6 @@ impl PageLayer {
                     }
                 }
             }
-            self.free_blocks.fetch_add(k as usize, Ordering::Relaxed);
 
             let old = PageState::of(pd.state().fetch_count_add(k));
             let count = old.count() + k as usize;
@@ -336,6 +353,11 @@ impl PageLayer {
                 self.list_unowned(vm, pd_ptr);
             }
         }
+        if spliced != total {
+            // A hardened chain sank itself on a clobbered link.
+            self.free_blocks
+                .fetch_sub(total - spliced, Ordering::Relaxed);
+        }
     }
 
     /// Pops a page to allocate from, transferring possession to the
@@ -345,45 +367,47 @@ impl PageLayer {
     /// visits per refill" optimization that destroys page drain.
     ///
     /// Stale positions (true count above the listed bucket) are repaired
-    /// by relisting; fault-deferred full pages are returned directly for
-    /// consumption.
-    fn pop_page(&self) -> Option<*mut PageDesc> {
+    /// by settling the page at its true count; fault-deferred full pages
+    /// are returned directly for consumption. Only buckets whose summary
+    /// bit is set are visited.
+    fn pop_page(&self, vm: &VmblkLayer) -> Option<*mut PageDesc> {
         let bpp = self.blocks_per_page;
-        if self.radix {
-            for b in 1..=bpp {
-                loop {
-                    let (popped, retries) = self.buckets[b].pop();
-                    self.stats.cas_retries.add(retries);
-                    let Some(pd) = popped else { break };
-                    let c = self.possess(pd);
-                    if c == b || c == bpp {
-                        return Some(pd);
-                    }
-                    // Stale (c > b): relist at the true count and keep
-                    // scanning this bucket — repairs never move a page
-                    // *down*, so the ascending scan stays exact.
-                    self.settle_one_no_release(pd);
-                }
+        let mut at = if self.radix { 1 } else { bpp };
+        loop {
+            let b = if self.radix {
+                self.buckets.first_set_from(at)?
+            } else {
+                self.buckets.last_set_upto(at)?
+            };
+            let Some(pd) = self.pop_bucket(b) else {
+                at = if self.radix { b + 1 } else { b - 1 };
+                continue;
+            };
+            let c = self.possess(pd);
+            if c == b || c == bpp {
+                return Some(pd);
             }
-            None
-        } else {
-            'restart: loop {
-                for b in (1..=bpp).rev() {
-                    let (popped, retries) = self.buckets[b].pop();
-                    self.stats.cas_retries.add(retries);
-                    let Some(pd) = popped else { continue };
-                    let c = self.possess(pd);
-                    if c == b || c == bpp {
-                        return Some(pd);
-                    }
-                    // Stale: the true count is *higher*, i.e. in a bucket
-                    // the descending scan already passed. Relist and
-                    // rescan from the top.
-                    self.settle_one_no_release(pd);
-                    continue 'restart;
-                }
-                return None;
-            }
+            // Stale (c > b). Repairs never move a page *down*, so the
+            // ascending scan stays exact by carrying on at this bucket;
+            // the descending scan has already passed the page's true
+            // bucket and starts over from the top.
+            self.settle_one(vm, pd);
+            at = if self.radix { b } else { bpp };
+        }
+    }
+
+    /// Pops bucket `b`, counting any CAS retries.
+    fn pop_bucket(&self, b: usize) -> Option<*mut PageDesc> {
+        let (popped, retries) = self.buckets.pop(b);
+        self.retried(retries);
+        popped
+    }
+
+    /// Counts `n` failed CAS attempts; the usual zero costs no RMW.
+    #[inline]
+    fn retried(&self, n: u64) {
+        if n != 0 {
+            self.stats.cas_retries.add(n);
         }
     }
 
@@ -442,63 +466,38 @@ impl PageLayer {
                 }
             }
         };
-        self.free_blocks.fetch_sub(take, Ordering::Relaxed);
         if take > 0 {
-            // Possession makes this CPU the freelist's only consumer, so
-            // the whole list comes off in one exchange and is walked
-            // privately — per-block CAS traffic collapses to at most two
-            // RMWs regardless of `take`.
+            self.free_blocks.fetch_sub(take, Ordering::Relaxed);
+            // Possession makes this CPU the freelist's only consumer:
+            // whatever freers push in front, the blocks behind the head
+            // stay put. So walk `take` links from the head and swing the
+            // head past them in one CAS, starting over from the new head
+            // if a freer got in first. The reservation made the blocks
+            // ours, and freelist-before-count guarantees they are there.
             let mut head = pdr.afree().load();
-            let taken = loop {
-                debug_assert!(!head.is_null(), "page freelist under-supplied");
-                match pdr.afree().compare_exchange(head, ptr::null_mut()) {
-                    Ok(_) => break head.ptr(),
+            loop {
+                let mut rest = head.ptr();
+                for _ in 0..take {
+                    debug_assert!(!rest.is_null(), "page freelist under-supplied");
+                    // SAFETY: `rest` is a free block of this page; its next
+                    // field was published by the pushing CPU's Release CAS.
+                    rest = unsafe { block::read_next_atomic(rest, self.key) };
+                }
+                match pdr.afree().compare_exchange(head, rest) {
+                    Ok(_) => break,
                     Err(seen) => {
                         self.stats.cas_retries.inc();
                         head = seen;
                     }
                 }
-            };
-            // Keep the first `take` blocks — the reservation made them
-            // exclusively ours, and the freelist-before-count discipline
-            // guarantees they are physically present.
-            let mut blk = taken;
+            }
+            let mut blk = head.ptr();
             for _ in 0..take {
-                debug_assert!(!blk.is_null(), "page freelist under-supplied");
-                // SAFETY: `blk` is a free block of this page; its next
-                // field was published by the pushing CPU's Release CAS.
+                // SAFETY: detached above, so the link is ours to read.
                 let next = unsafe { block::read_next_atomic(blk, self.key) };
-                // SAFETY: reserved above.
+                // SAFETY: reserved and detached above.
                 unsafe { chain.push(blk) };
                 blk = next;
-            }
-            // Splice back any surplus (blocks beyond the reservation, or
-            // freed after the count snapshot). The surplus is private
-            // until the CAS republishes it, so the tail walk is plain
-            // reads; racing freers meanwhile push onto the empty head and
-            // merge when this CAS lands.
-            if !blk.is_null() {
-                let mut tail = blk;
-                loop {
-                    // SAFETY: surplus blocks are ours until respliced.
-                    let next = unsafe { block::read_next_atomic(tail, self.key) };
-                    if next.is_null() {
-                        break;
-                    }
-                    tail = next;
-                }
-                let mut head = pdr.afree().load();
-                loop {
-                    // SAFETY: `tail` is ours until the CAS publishes it.
-                    unsafe { block::write_next_atomic(tail, head.ptr(), self.key) };
-                    match pdr.afree().compare_exchange(head, blk) {
-                        Ok(_) => break,
-                        Err(seen) => {
-                            self.stats.cas_retries.inc();
-                            head = seen;
-                        }
-                    }
-                }
             }
         }
         self.settle_one(vm, pd);
@@ -548,52 +547,14 @@ impl PageLayer {
         }
     }
 
-    /// [`settle_one`](Self::settle_one) for callers with no vmblk handy —
-    /// only valid where the page cannot be full (stale-relist repair:
-    /// possession was just taken with `c < blocks_per_page`... but a
-    /// racing freer may still fill it, so this delegates to the full
-    /// settle path via the stored layer state).
-    fn settle_one_no_release(&self, pd: *mut PageDesc) {
-        // SAFETY: possessed by the caller.
-        let pdr = unsafe { &*pd };
-        let mut cur = pdr.state().load();
-        loop {
-            let st = PageState::of(cur);
-            debug_assert!(st.owned() && !st.listed());
-            let c = st.count();
-            debug_assert!(c >= 1);
-            // Full pages are listed at the top bucket rather than released
-            // (no vmblk reference here); the next popper or the freer's
-            // hunt consumes or releases them.
-            match pdr
-                .state()
-                .compare_exchange_value(cur, PageState::listed_value(c, c))
-            {
-                Ok(_) => {
-                    // Physical push; no vm for the post-push mop either —
-                    // a full page parked at the top bucket is always
-                    // discoverable, so no mop is needed.
-                    // SAFETY: we possess `pd` until this push publishes it.
-                    let retries = unsafe { self.buckets[c].push(pd) };
-                    self.stats.cas_retries.add(retries);
-                    return;
-                }
-                Err(seen) => {
-                    self.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        }
-    }
-
     /// Lists a page after its state CAS to LISTED at bucket `c`, then mops
     /// up the window between the CAS and the physical push: a freer that
     /// filled the page in that window hunted an emptier bucket and was
     /// absolved, so the lister re-checks and hunts on its behalf.
     fn push_listed(&self, vm: &VmblkLayer, pd: *mut PageDesc, c: usize) {
         // SAFETY: we possess `pd` until this push publishes it.
-        let retries = unsafe { self.buckets[c].push(pd) };
-        self.stats.cas_retries.add(retries);
+        let retries = unsafe { self.buckets.push(c, pd) };
+        self.retried(retries);
         if c != self.blocks_per_page {
             // SAFETY: descriptor storage is type-stable.
             let st = PageState::of(unsafe { (*pd).state().load() });
@@ -661,10 +622,7 @@ impl PageLayer {
             return;
         }
         let mut aside = Vec::new();
-        loop {
-            let (popped, retries) = self.buckets[bucket].pop();
-            self.stats.cas_retries.add(retries);
-            let Some(pd) = popped else { break };
+        while let Some(pd) = self.pop_bucket(bucket) {
             let c = self.possess(pd);
             if c == self.blocks_per_page {
                 // SAFETY: possessed, full.
@@ -808,14 +766,13 @@ impl PageLayer {
     /// re-scanned.
     pub fn flush_full_pages(&self, vm: &VmblkLayer) {
         let mut possessed = Vec::new();
-        for bucket in self.buckets.iter() {
-            loop {
-                let (popped, retries) = bucket.pop();
-                self.stats.cas_retries.add(retries);
-                let Some(pd) = popped else { break };
+        let mut at = 0;
+        while let Some(b) = self.buckets.first_set_from(at) {
+            while let Some(pd) = self.pop_bucket(b) {
                 self.possess(pd);
                 possessed.push(pd);
             }
+            at = b + 1;
         }
         for pd in possessed {
             self.settle_one(vm, pd);
@@ -830,26 +787,26 @@ impl PageLayer {
         )
     }
 
-    /// Walks every listed page, calling `f(free_count, freelist_len)`.
+    /// Walks every listed page in ascending bucket order, calling
+    /// `f(free_count, freelist_len)`, and asserts that every non-empty
+    /// bucket has its summary bit set.
     ///
     /// Verification only: the layer must be quiescent for the walk (no
     /// concurrent allocs or frees), as the torture checkpoints guarantee.
     pub fn for_each_page(&self, mut f: impl FnMut(usize, usize)) {
-        for bucket in self.buckets.iter() {
-            // SAFETY: quiescence per the function contract.
-            for pd in unsafe { bucket.iter() } {
-                // SAFETY: listed pages are valid block pages of this class.
-                let pdr = unsafe { &*pd };
-                let st = PageState::of(pdr.state().load());
-                let mut n = 0;
-                let mut blk = pdr.afree().load().ptr();
-                while !blk.is_null() {
-                    n += 1;
-                    // SAFETY: page freelist blocks are free and linked.
-                    blk = unsafe { block::read_next_atomic(blk, self.key) };
-                }
-                f(st.count(), n);
+        // SAFETY: quiescence per the function contract.
+        for pd in unsafe { self.buckets.iter() } {
+            // SAFETY: listed pages are valid block pages of this class.
+            let pdr = unsafe { &*pd };
+            let st = PageState::of(pdr.state().load());
+            let mut n = 0;
+            let mut blk = pdr.afree().load().ptr();
+            while !blk.is_null() {
+                n += 1;
+                // SAFETY: page freelist blocks are free and linked.
+                blk = unsafe { block::read_next_atomic(blk, self.key) };
             }
+            f(st.count(), n);
         }
     }
 }
@@ -1073,6 +1030,37 @@ mod tests {
         // SAFETY: blocks from this layer.
         unsafe { layer.free_chain(&vm, warm) };
         assert_eq!(layer.usage(), (0, 0));
+    }
+
+    /// The step bound: a refill from a listed page issues the same short
+    /// sequence of shared-line accesses whether the page it scans for and
+    /// takes from holds 8 blocks or 256.
+    #[test]
+    fn refill_steps_do_not_grow_with_blocks_per_page() {
+        let steps = |block_size: usize| {
+            let (vm, layer) = setup(block_size, true, 64);
+            // Carves a page and lists it three blocks short of full.
+            let first = layer.alloc_chain(&vm, 3).unwrap();
+            let (second, events) = probe::record(|| layer.alloc_chain(&vm, 3).unwrap());
+            assert_eq!(second.len(), 3);
+            assert_eq!(layer.stats().page_acquires.get(), 1, "no second page");
+            for chain in [first, second] {
+                // SAFETY: blocks from this layer.
+                unsafe { layer.free_chain(&vm, chain) };
+            }
+            assert_eq!(layer.usage(), (0, 0));
+            events
+                .iter()
+                .map(|e| match e {
+                    ProbeEvent::LineRead { .. } => 'r',
+                    ProbeEvent::LineRmw { .. } => 'm',
+                    other => panic!("unexpected probe event {other:?}"),
+                })
+                .collect::<String>()
+        };
+        let (small, large) = (steps(16), steps(512));
+        assert_eq!(small, large, "16-B and 512-B refills must step alike");
+        assert!(small.len() <= 20, "{} steps: {small}", small.len());
     }
 
     #[test]

@@ -14,12 +14,12 @@ use kmem_vm::{KernelSpace, SpaceConfig, PAGE_SIZE};
 
 const BLOCK_SIZE: usize = 512;
 
-fn setup() -> (VmblkLayer, PageLayer) {
+fn setup(block_size: usize, radix: bool) -> (VmblkLayer, PageLayer) {
     let space = Arc::new(KernelSpace::new(
         SpaceConfig::new(4 << 20).vmblk_shift(16).phys_pages(256),
     ));
     let vm = VmblkLayer::new(space, true);
-    let layer = PageLayer::new(3, BLOCK_SIZE, true);
+    let layer = PageLayer::new(3, block_size, radix);
     (vm, layer)
 }
 
@@ -42,12 +42,20 @@ fn listed_counts(layer: &PageLayer) -> Vec<usize> {
 /// expected free count). After every operation the layer's listed pages
 /// must match the model, no listed page may be fully free (such pages are
 /// released immediately), and single-block refills must come from a page
-/// with the minimum free count — the radix policy.
-#[test]
-fn mixed_workload_obeys_radix_policy() {
-    let (vm, layer) = setup();
+/// with the minimum free count — the radix policy — or, under the
+/// `radix = false` ablation, the maximum. Every step runs at quiescence,
+/// where the summary-driven scan must be exact, not approximate.
+///
+/// Bucket positions are lazy: a page freed into since it was listed sits
+/// below its true count. The ascending scan meets such a page before any
+/// it could wrongly prefer and repairs it on the way, so fewest-free-first
+/// needs no help. The descending scan can stop at a well-placed page above
+/// a stale one, so the ablation is exact only over repaired positions: its
+/// refills follow the recovery pass, which re-buckets every listed page.
+fn mixed_workload_obeys_policy(block_size: usize, radix: bool) {
+    let (vm, layer) = setup(block_size, radix);
     let bpp = layer.blocks_per_page();
-    assert_eq!(bpp, PAGE_SIZE / BLOCK_SIZE);
+    assert_eq!(bpp, PAGE_SIZE / block_size);
 
     let mut rng = Rng::new(0x5261_6469_7854); // "RadixT"
     let mut held: Vec<usize> = Vec::new();
@@ -58,22 +66,26 @@ fn mixed_workload_obeys_radix_policy() {
     for _ in 0..600 {
         if rng.ratio(3, 5) && held.len() < 800 {
             // Single-block refills so each one's source page is checkable.
-            let min_free = model.values().copied().filter(|&c| c > 0).min();
+            let listed = model.values().copied().filter(|&c| c > 0);
+            let preferred = if radix { listed.min() } else { listed.max() };
+            if !radix {
+                layer.flush_full_pages(&vm);
+            }
             let Ok(mut chain) = layer.alloc_chain(&vm, 1) else {
                 continue;
             };
             assert_eq!(chain.len(), 1);
             let blk = chain.pop().unwrap() as usize;
             let page = page_of(blk);
-            match min_free {
+            match preferred {
                 Some(m) => {
-                    // Radix policy: the block must come out of a page with
-                    // the fewest free blocks, not any fuller page.
+                    // The block must come out of a page with the fewest
+                    // (ablation: most) free blocks, not any other page.
                     assert_eq!(
                         model.get(&page).copied(),
                         Some(m),
-                        "refill took from a page with more than the \
-                         minimum {m} free blocks"
+                        "{block_size} B, radix {radix}: refill passed over \
+                         a page with {m} free blocks"
                     );
                     *model.get_mut(&page).unwrap() -= 1;
                     preference_checks += 1;
@@ -121,7 +133,7 @@ fn mixed_workload_obeys_radix_policy() {
 
     assert!(
         preference_checks > 50,
-        "workload never exercised the radix preference ({preference_checks})"
+        "workload never exercised the preference ({preference_checks})"
     );
     assert!(
         layer.stats().page_releases.get() > 0,
@@ -141,12 +153,26 @@ fn mixed_workload_obeys_radix_policy() {
     assert_eq!(vm.space().phys().in_use(), 0);
 }
 
+/// 512 B keeps every bucket in one summary word; 32 B spreads its 129
+/// over three, so scans cross word boundaries in both directions.
+#[test]
+fn mixed_workload_obeys_radix_policy() {
+    mixed_workload_obeys_policy(BLOCK_SIZE, true);
+    mixed_workload_obeys_policy(32, true);
+}
+
+#[test]
+fn mixed_workload_obeys_most_free_first_ablation() {
+    mixed_workload_obeys_policy(BLOCK_SIZE, false);
+    mixed_workload_obeys_policy(32, false);
+}
+
 /// The headline drain behaviour in isolation: partially drain two pages
 /// to different depths, and watch refills empty the sparser page first
 /// while the fuller one keeps gathering frees until it drains entirely.
 #[test]
 fn sparse_pages_drain_before_full_ones() {
-    let (vm, layer) = setup();
+    let (vm, layer) = setup(BLOCK_SIZE, true);
     let bpp = layer.blocks_per_page();
 
     // Carve two pages: take all of page A, then all of page B.

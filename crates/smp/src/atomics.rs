@@ -51,16 +51,10 @@ impl TaggedPtr {
     /// value).
     pub const NULL: TaggedPtr = TaggedPtr { raw: 0 };
 
-    fn pack(ptr: *mut u8, tag: u16) -> TaggedPtr {
-        let addr = ptr as usize as u64;
-        debug_assert_eq!(addr & !PTR_MASK, 0, "pointer exceeds {PTR_BITS} bits");
-        TaggedPtr {
-            raw: (u64::from(tag) << PTR_BITS) | (addr & PTR_MASK),
-        }
-    }
-
-    fn pack_value(value: u64, tag: u16) -> TaggedPtr {
-        debug_assert_eq!(value & !PTR_MASK, 0, "value exceeds {PTR_BITS} bits");
+    /// Packs the low [`PTR_BITS`] of `value` under `tag`. Width is not
+    /// judged here: [`TaggedAtomic::exchange`] does, once it knows whether
+    /// the value was computed from a stale read.
+    fn pack(value: u64, tag: u16) -> TaggedPtr {
         TaggedPtr {
             raw: (u64::from(tag) << PTR_BITS) | (value & PTR_MASK),
         }
@@ -106,14 +100,21 @@ impl TaggedAtomic {
         }
     }
 
-    /// Loads the current `(pointer, tag)` pair (acquire).
+    /// Loads the current `(pointer, tag)` pair.
+    ///
+    /// `SeqCst`, as a successful exchange is: the page layer's bucket
+    /// summary (`PdBuckets`) pairs a push to one of these words with a
+    /// load of another word on one CPU, and a store to that word with a
+    /// load of this one on another. Only the single total order keeps both
+    /// loads from missing both stores. On x86-64 and ARMv8 the
+    /// instructions are those acquire and acquire-release already took.
     #[inline]
     pub fn load(&self) -> TaggedPtr {
         probe::emit(ProbeEvent::LineRead {
             line: probe::line_of(self),
         });
         TaggedPtr {
-            raw: self.word.load(Ordering::Acquire),
+            raw: self.word.load(Ordering::SeqCst),
         }
     }
 
@@ -121,24 +122,25 @@ impl TaggedAtomic {
     /// generation tag.
     ///
     /// On success returns the installed pair; on failure returns the
-    /// observed pair for the caller's retry. Success is AcqRel: it
-    /// publishes the stores the caller made to `new`'s pointee before
-    /// the call (a Treiber push's next-link write) and pairs with the
-    /// acquire in [`load`](TaggedAtomic::load).
+    /// observed pair for the caller's retry. Success publishes the
+    /// stores the caller made to `new`'s pointee before the call (a
+    /// Treiber push's next-link write) to whoever then reads the word
+    /// with [`load`](TaggedAtomic::load), and is `SeqCst` for the reason
+    /// given there.
+    ///
+    /// A pop computes `new` from a link word it read *before* this call
+    /// confirms it still owns the head. If a racing CPU took the block
+    /// meanwhile, that word is user data and may be wider than
+    /// [`PTR_BITS`]: the exchange then fails on the tag like any other
+    /// stale attempt. Only an over-wide `new` that would actually be
+    /// installed is a bug, and debug builds assert exactly that.
     #[inline]
     pub fn compare_exchange(
         &self,
         current: TaggedPtr,
         new: *mut u8,
     ) -> Result<TaggedPtr, TaggedPtr> {
-        probe::emit(ProbeEvent::LineRmw {
-            line: probe::line_of(self),
-        });
-        let next = TaggedPtr::pack(new, current.tag().wrapping_add(1));
-        self.word
-            .compare_exchange(current.raw, next.raw, Ordering::AcqRel, Ordering::Acquire)
-            .map(|_| next)
-            .map_err(|raw| TaggedPtr { raw })
+        self.exchange(current, new as usize as u64)
     }
 
     /// Attempts to replace `current` with the 48-bit `value`, incrementing
@@ -152,14 +154,23 @@ impl TaggedAtomic {
         current: TaggedPtr,
         value: u64,
     ) -> Result<TaggedPtr, TaggedPtr> {
+        self.exchange(current, value)
+    }
+
+    #[inline]
+    fn exchange(&self, current: TaggedPtr, value: u64) -> Result<TaggedPtr, TaggedPtr> {
         probe::emit(ProbeEvent::LineRmw {
             line: probe::line_of(self),
         });
-        let next = TaggedPtr::pack_value(value, current.tag().wrapping_add(1));
-        self.word
-            .compare_exchange(current.raw, next.raw, Ordering::AcqRel, Ordering::Acquire)
-            .map(|_| next)
-            .map_err(|raw| TaggedPtr { raw })
+        let next = TaggedPtr::pack(value, current.tag().wrapping_add(1));
+        let outcome =
+            self.word
+                .compare_exchange(current.raw, next.raw, Ordering::SeqCst, Ordering::Acquire);
+        debug_assert!(
+            value & !PTR_MASK == 0 || outcome.is_err(),
+            "installed a value exceeding {PTR_BITS} bits: {value:#x}"
+        );
+        outcome.map(|_| next).map_err(|raw| TaggedPtr { raw })
     }
 
     /// Adds `delta` to the 48-bit value half and increments the generation
@@ -201,7 +212,7 @@ mod tests {
     fn pack_round_trips_pointer_and_tag() {
         let mut byte = 7u8;
         let p: *mut u8 = &mut byte;
-        let t = TaggedPtr::pack(p, 0xBEEF);
+        let t = TaggedPtr::pack(p as u64, 0xBEEF);
         assert_eq!(t.ptr(), p);
         assert_eq!(t.tag(), 0xBEEF);
         assert!(!t.is_null());
@@ -235,10 +246,38 @@ mod tests {
                                                  // A CAS armed with the tag-1 view must fail despite the pointer
                                                  // matching the current head.
         let err = head
-            .compare_exchange(TaggedPtr::pack(p, 1), core::ptr::null_mut())
+            .compare_exchange(TaggedPtr::pack(p as u64, 1), core::ptr::null_mut())
             .unwrap_err();
         assert_eq!(err.ptr(), p);
         assert_eq!(err.tag(), 3);
+    }
+
+    /// A pop that lost its head to a racing CPU computes `new` from a
+    /// word the new owner may have filled with 64 bits of user data. The
+    /// tag has moved, so the exchange must simply fail — not trip the
+    /// width assertion first.
+    #[test]
+    fn stale_exchange_with_overwide_new_fails_instead_of_asserting() {
+        let mut byte = 0u8;
+        let head = TaggedAtomic::null();
+        let stale = head.load();
+        let now = head.compare_exchange(stale, &mut byte).unwrap();
+        let user_word = 0xdead_beef_dead_beef_u64;
+        let seen = head
+            .compare_exchange(stale, user_word as usize as *mut u8)
+            .unwrap_err();
+        assert_eq!(seen, now);
+        assert_eq!(head.compare_exchange_value(stale, user_word), Err(now));
+        assert_eq!(head.load(), now, "a failed exchange installs nothing");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exceeding 48 bits")]
+    fn installing_an_overwide_value_still_asserts() {
+        let head = TaggedAtomic::null();
+        let cur = head.load();
+        let _ = head.compare_exchange_value(cur, 1 << PTR_BITS);
     }
 
     #[test]

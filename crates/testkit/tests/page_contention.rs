@@ -62,6 +62,17 @@ fn env_faults() -> bool {
 /// page or block may be lost either way.
 #[test]
 fn ring_storm_conserves_pages_and_blocks() {
+    ring_storm(BLOCK_SIZE, WANT);
+}
+
+/// The same storm over 32-byte blocks: 129 buckets under a three-word
+/// summary bitmap, ten-block chains walking pages down through them.
+#[test]
+fn ring_storm_conserves_pages_across_summary_words() {
+    ring_storm(32, 10);
+}
+
+fn ring_storm(block_size: usize, want: usize) {
     let threads = env_threads();
     let faults_handle = if env_faults() {
         Faults::with_plan()
@@ -69,7 +80,7 @@ fn ring_storm_conserves_pages_and_blocks() {
         Faults::none()
     };
     let vm = VmblkLayer::new_with_cache(space(), true, faults_handle.clone());
-    let layer = PageLayer::new_with_faults(CLASS, BLOCK_SIZE, true, faults_handle.clone());
+    let layer = PageLayer::new_with_faults(CLASS, block_size, true, faults_handle.clone());
 
     const ARMED: [(&str, u64); 3] = [
         // Sparse injected misses: real traffic still dominates.
@@ -93,7 +104,7 @@ fn ring_storm_conserves_pages_and_blocks() {
                         // SAFETY: ring chains came from this layer.
                         unsafe { layer.free_chain(&vm, c) };
                     }
-                    match layer.alloc_chain(&vm, WANT) {
+                    match layer.alloc_chain(&vm, want) {
                         // Injected PAGE_GET miss (or real exhaustion):
                         // the caller retries next round, as the global
                         // layer would.

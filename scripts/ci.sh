@@ -107,4 +107,13 @@ echo "==> NUMA steal-path regression (2 nodes x 4 CPUs, faults on)"
 KMEM_TORTURE_FAULTS=1 cargo test -q --release --offline -p kmem-testkit \
     --test numa_steal
 
+echo "==> kmembench (benchmark/): unit tests + smoke runs, both modes"
+# The benchmark is a package of its own outside the workspace, so nothing
+# above builds it. Its tests cover every workload, layer driver and
+# BENCHMARK.json's agreement with the metric tables; the smoke suites run
+# the same code end to end and traced, output checks included.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke >/dev/null
+benchmark/run.sh --smoke --traced >/dev/null
+
 echo "==> OK: all tier-1 checks passed"
