@@ -12,8 +12,8 @@ use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use kmem_smp::{
-    faults, CachePadded, ClaimError, CpuClaim, CpuId, CpuRegistry, EventCounter, Faults, NodeId,
-    PerCpu, Topology,
+    faults, CachePadded, ClaimError, CpuClaim, CpuId, CpuRegistry, EventCounter, Faults,
+    LocalCounter, NodeId, PerCpu, Topology,
 };
 use kmem_vm::{KernelSpace, PAGE_SIZE};
 
@@ -63,6 +63,10 @@ pub(crate) struct CpuSlot {
     /// Hit/miss counters, one per class; kept outside the `UnsafeCell` so
     /// statistics snapshots never alias the owner's cache borrow.
     stats: Box<[CacheStats]>,
+    /// Multi-page blocks this CPU took from / returned to the vmblk layer
+    /// (owner-written; snapshots sum them over CPUs).
+    large_allocs: LocalCounter,
+    large_frees: LocalCounter,
     /// Set by *other* CPUs under memory pressure; the owner checks it on
     /// every operation (the userspace stand-in for a reclaim IPI).
     drain: AtomicBool,
@@ -102,8 +106,6 @@ pub(crate) struct ArenaInner {
     slots: PerCpu<CpuSlot>,
     registry: Arc<CpuRegistry>,
     max_large: usize,
-    large_allocs: EventCounter,
-    large_frees: EventCounter,
     /// Failpoint handle shared with the vm substrate; consulted at the
     /// global-get, page-get, spill, and refill boundaries.
     faults: Faults,
@@ -259,6 +261,8 @@ impl KmemArena {
                 .iter()
                 .map(|_| CacheStats::default())
                 .collect(),
+            large_allocs: LocalCounter::new(),
+            large_frees: LocalCounter::new(),
             drain: AtomicBool::new(false),
         });
         let sunk = (0..config.classes.len())
@@ -283,8 +287,6 @@ impl KmemArena {
                 slots,
                 registry,
                 max_large,
-                large_allocs: EventCounter::new(),
-                large_frees: EventCounter::new(),
                 faults,
                 pressure: PressureLadder::new(config.pressure),
                 hardened,
@@ -445,13 +447,19 @@ impl KmemArena {
             })
             .collect();
         let (fault_hits, fault_fired) = inner.faults.totals();
+        let (mut large_allocs, mut large_frees) = (0, 0);
+        for (_, slot) in inner.slots.iter() {
+            large_allocs += slot.large_allocs.get();
+            large_frees += slot.large_frees.get();
+        }
+        let vm = inner.vm.stats();
         KmemSnapshot {
             classes,
             nodes,
-            large_allocs: inner.large_allocs.get(),
-            large_frees: inner.large_frees.get(),
-            vmblk_cache_hits: inner.vm.stats().cache_hits.get(),
-            vmblk_cache_puts: inner.vm.stats().cache_puts.get(),
+            large_allocs,
+            large_frees,
+            vmblk_cache_hits: vm.cache_hits,
+            vmblk_cache_puts: vm.cache_puts,
             vmblks_live: inner.vm.nvmblks(),
             phys_in_use: inner.space.phys().in_use(),
             phys_capacity: inner.space.phys().capacity(),
@@ -1166,9 +1174,10 @@ impl CpuHandle {
                 max: self.inner.max_large,
             });
         }
+        let slot = self.inner.slots.get(self.cpu);
         match self.inner.vm.alloc_large_on(size, self.node) {
             Ok(p) => {
-                self.inner.large_allocs.inc();
+                slot.large_allocs.bump();
                 self.relax_pressure();
                 Ok(p)
             }
@@ -1177,7 +1186,9 @@ impl CpuHandle {
                 self.inner
                     .vm
                     .alloc_large_on(size, self.node)
-                    .inspect(|_| self.inner.large_allocs.inc())
+                    .inspect(|_| {
+                        slot.large_allocs.bump();
+                    })
                     .map_err(|_| AllocError::OutOfMemory { requested: size })
             }
         }
@@ -1210,11 +1221,14 @@ impl CpuHandle {
     #[inline]
     pub unsafe fn free_checked(&self, ptr: NonNull<u8>) -> Result<(), AllocError> {
         self.check_drain();
-        let pd = self
+        // The one address resolution of this free: the large path hands
+        // it down instead of looking `ptr` up again.
+        let at = self
             .inner
             .vm
-            .pd_of(ptr.as_ptr() as usize)
+            .resolve(ptr.as_ptr() as usize)
             .expect("free of a pointer this arena does not manage");
+        let pd = at.pd();
         match pd.kind() {
             PdKind::BlockPage => {
                 let class = pd.class();
@@ -1222,9 +1236,9 @@ impl CpuHandle {
                 unsafe { self.free_class(class, ptr.as_ptr()) }
             }
             PdKind::Large => {
-                self.inner.large_frees.inc();
+                self.inner.slots.get(self.cpu).large_frees.bump();
                 // SAFETY: forwarded caller contract.
-                unsafe { self.inner.vm.free_large(ptr) };
+                unsafe { self.inner.vm.free_large_at(at) };
                 Ok(())
             }
             other => panic!("free of a block in a page of kind {other:?}"),
@@ -1248,7 +1262,7 @@ impl CpuHandle {
                 let _ = unsafe { self.free_class(class, ptr.as_ptr()) };
             }
             None => {
-                self.inner.large_frees.inc();
+                self.inner.slots.get(self.cpu).large_frees.bump();
                 // SAFETY: forwarded caller contract.
                 unsafe { self.inner.vm.free_large(ptr) };
             }

@@ -13,6 +13,12 @@
 //! path reads them with no lock held: while a caller still owns a block of
 //! a page, that page cannot change role, so the read is stable.
 //!
+//! `home` is valid on the first page of an allocated span — which every
+//! block page and every parked page is, being a span of one — and nowhere
+//! else: the vmblk layer writes it once per allocation, on the head, and
+//! reads it back from the head when the span is freed whole. An interior
+//! page's `home` is whatever an earlier use of that page left there.
+//!
 //! A block page's live state is lock-free. Its free count and listing
 //! flags (`state`), its block freelist (`afree`) and its bucket linkage
 //! (`anext`) are tagged or plain atomics driven by the class's page layer
@@ -105,10 +111,11 @@ impl PdInner {
 pub struct PageDesc {
     kind: AtomicU8,
     class: AtomicU8,
-    /// Home NUMA node of the physical frame currently (or last) backing
-    /// this page — written by the vmblk layer when a span's frames are
-    /// claimed, read lock-free wherever node-local placement matters.
-    /// Fits the descriptor's existing padding, so `PD_STRIDE` is unchanged.
+    /// Home NUMA node of the frames backing the span this page heads —
+    /// written by the vmblk layer when the span's frames are claimed, read
+    /// lock-free wherever node-local placement matters. Valid on span
+    /// heads only (see the module docs). Fits the descriptor's existing
+    /// padding, so `PD_STRIDE` is unchanged.
     home: AtomicU8,
     /// Block pages, lock-free layer state: a packed
     /// `(free count | bucket | LISTED | OWNED)` word with a generation
@@ -195,13 +202,15 @@ impl PageDesc {
         self.class.store(class as u8, Ordering::Release);
     }
 
-    /// Home node of the frame backing this page (lock-free).
+    /// Home node of the frames backing the span this page heads
+    /// (lock-free; meaningless on an interior page).
     #[inline]
     pub fn home_node(&self) -> NodeId {
         NodeId::new(usize::from(self.home.load(Ordering::Acquire)))
     }
 
-    /// Records the home node of the frame backing this page.
+    /// Records the home node of the frames backing the span this page
+    /// heads.
     #[inline]
     pub fn set_home_node(&self, node: NodeId) {
         debug_assert!(node.index() <= usize::from(u8::MAX));

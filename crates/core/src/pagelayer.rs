@@ -746,17 +746,8 @@ impl PageLayer {
         self.npages.fetch_sub(1, Ordering::Relaxed);
         pd.set_kind(PdKind::Unused);
         pd.set_class(0);
-        // Recover the page base address from the descriptor itself:
-        // descriptors live inside their vmblk, so the dope vector resolves
-        // them like any other managed address.
-        let page_addr = {
-            let hdr = vm
-                .header_of(pd as *const PageDesc as usize)
-                .expect("descriptor outside any vmblk");
-            hdr.data_page(hdr.pd_index_of(pd))
-        };
         // SAFETY: the span is exactly the fully free page we own.
-        unsafe { vm.free_span(page_addr, 1) };
+        unsafe { vm.free_span_at(vm.page_of(pd), 1) };
     }
 
     /// Pops every listed page and settles it at its true count, releasing

@@ -25,23 +25,28 @@ use core::ptr::{self, NonNull};
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use kmem_smp::{faults, EventCounter, Faults, NodeId, SpinLock};
+use kmem_smp::probe::{self, ProbeEvent};
+use kmem_smp::{faults, EventCounter, Faults, LocalCounter, NodeId, SpinLock};
 use kmem_vm::{KernelSpace, VmError, VmblkRegion, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::pagedesc::{PageDesc, PdKind, PdList, PdStack, PD_STRIDE};
 
 /// Span lengths with exact-size freelists; longer spans share a first-fit
 /// list. 64 pages = 256 KB covers every multi-page request the benchmarks
-/// make while keeping the list array small.
+/// make while keeping the list array small — and lets one `u64` summarize
+/// which exact-size lists are non-empty (`VmInner::nonempty`).
 const MAX_SEG: usize = 64;
+const _: () = assert!(MAX_SEG == u64::BITS as usize);
 
-/// Upper bound on pages parked in each node's lock-free whole-page cache.
-/// The page layer churns single pages far more often than any other span
-/// size, so a small cap absorbs nearly all of the traffic while bounding
-/// how much virtual space sits outside the boundary-tag structure. The
+/// Pages a node's lock-free whole-page cache parks before frees go to the
+/// boundary-tag path instead. The page layer churns single pages far more
+/// often than any other span size, so a small cap absorbs nearly all of
+/// the traffic while bounding how much virtual space sits outside the
+/// boundary-tag structure. A free reads the cache's length before it
+/// parks, so CPUs racing at the cap can each park one page past it. The
 /// cache is sharded by home node: a parked page waits on its frame's
 /// node's stack, so a node-local request reuses a node-local frame.
-const PAGE_CACHE_CAP: usize = 64;
+const PAGE_CACHE_CAP: u64 = 64;
 
 /// Offset of the descriptor array within a vmblk.
 const PD_OFFSET: usize = {
@@ -59,9 +64,11 @@ pub struct VmblkHeader {
     region: VmblkRegion,
     header_pages: usize,
     ndata: usize,
-    /// Home node of the header frames (written once at creation; data
-    /// pages record their own homes in their descriptors).
+    /// Home node of the header frames (written once at creation; spans
+    /// record their own homes in their head descriptors).
     home: NodeId,
+    /// Written only with the boundary-tag lock held, so a plain
+    /// load-then-store; read lock-free.
     free_pages: AtomicUsize,
     next: AtomicPtr<VmblkHeader>,
 }
@@ -147,32 +154,110 @@ fn geometry(total_pages: usize) -> (usize, usize) {
     (h, total_pages - h)
 }
 
-/// Statistics for the vmblk layer.
-#[derive(Default)]
+/// Statistics for the vmblk layer, as read by [`VmblkLayer::stats`].
+#[derive(Debug, Clone, Copy)]
 pub struct VmblkStats {
     /// vmblks carved out of the kernel space.
-    pub vmblks_created: EventCounter,
+    pub vmblks_created: u64,
     /// vmblks returned to the kernel space.
-    pub vmblks_released: EventCounter,
+    pub vmblks_released: u64,
     /// Page spans handed out (block pages and large allocations).
-    pub span_allocs: EventCounter,
+    pub span_allocs: u64,
     /// Page spans returned.
-    pub span_frees: EventCounter,
+    pub span_frees: u64,
     /// Single-page allocations served by the lock-free page cache
     /// (no boundary-tag lock taken).
-    pub cache_hits: EventCounter,
+    pub cache_hits: u64,
     /// Single-page frees parked on the lock-free page cache
     /// (no boundary-tag lock taken).
-    pub cache_puts: EventCounter,
+    pub cache_puts: u64,
+}
+
+/// The boundary-tag path's counters, bumped only with its lock held: the
+/// lock serialises the writers, so a bump is a load and a store. What
+/// [`VmblkStats`] reports is summed from these and the [`NodeCache`]
+/// counters at read time.
+#[derive(Default)]
+struct LockedCounters {
+    vmblks_created: LocalCounter,
+    vmblks_released: LocalCounter,
+    /// Spans served by the boundary-tag path.
+    allocs: LocalCounter,
+    /// Spans returned through the boundary-tag path (cache drains are not
+    /// frees: those pages were counted when they were parked).
+    frees: LocalCounter,
+}
+
+/// One node's lock-free cache of recently freed whole pages
+/// ([`PdKind::Cached`] descriptors), fronting the boundary-tag lock. A
+/// cached page's physical frame is *released* and the page is neither in
+/// a span freelist nor counted in its header's `free_pages` — which
+/// guarantees its vmblk can never be released while it is parked.
+///
+/// Each direction pays one interlocked statistic, and the three counters
+/// are also the cache's length: every page parked is still here or left
+/// by a hit or a drain.
+#[derive(Default)]
+struct NodeCache {
+    stack: PdStack,
+    /// Pages ever parked here (bumped before the push publishes the page).
+    puts: EventCounter,
+    /// Pages an allocation took back (bumped after the pop).
+    hits: EventCounter,
+    /// Pages a drain pulled back into the boundary-tag structure (bumped
+    /// after the pop, with the boundary-tag lock held).
+    drained: LocalCounter,
+}
+
+impl NodeCache {
+    /// Bumps `puts` or `hits`, reported to the simulator on the stack
+    /// head's line: the cache is four words, modelled as the one line
+    /// they nearly always share, so a simulated run does not depend on
+    /// where the allocator happened to place them.
+    #[inline]
+    fn count(&self, counter: &EventCounter) {
+        probe::emit_rmw(&self.stack);
+        counter.inc();
+    }
+
+    /// Pages parked here now; counts a page an allocation has popped until
+    /// its frame is claimed. The departures are read first: a page leaves
+    /// after it arrives, so the difference cannot go negative.
+    fn len(&self) -> u64 {
+        let left = self.hits.get() + self.drained.get();
+        self.puts.get() - left
+    }
 }
 
 struct VmInner {
     /// `lists[k]` holds free spans of exactly `k` pages for `1 <= k <=
     /// MAX_SEG`; `lists[0]` holds longer spans, searched first-fit.
     lists: Box<[PdList]>,
+    /// Bit `k - 1` is set exactly when `lists[k]` is non-empty
+    /// (`1 <= k <= MAX_SEG`), so the smallest adequate exact-size list is
+    /// one shift and `trailing_zeros` away.
+    nonempty: u64,
     /// All live vmblks (headers), for verification and teardown.
     vmblks: *mut VmblkHeader,
-    nvmblks: usize,
+}
+
+/// A managed address resolved once through the dope vector: its vmblk
+/// header and the index of its data page. The free path resolves a
+/// pointer to one of these and hands it down the layers.
+#[derive(Clone, Copy)]
+pub struct PageRef<'a> {
+    hdr: &'a VmblkHeader,
+    idx: usize,
+}
+
+impl<'a> PageRef<'a> {
+    /// The page's descriptor.
+    #[inline]
+    pub fn pd(self) -> &'a PageDesc {
+        // SAFETY: `idx` is a data-page index of the live vmblk `hdr`, whose
+        // descriptor array lies in its header area.
+        unsafe { &*self.hdr.pd(self.idx) }
+    }
 }
 
 // SAFETY: `VmInner` is only reachable through the layer's spinlock.
@@ -181,19 +266,27 @@ unsafe impl Send for VmInner {}
 /// The coalesce-to-vmblk layer.
 pub struct VmblkLayer {
     space: Arc<KernelSpace>,
+    /// Data pages of one vmblk: the longest span the layer can serve.
+    max_span: usize,
     inner: SpinLock<VmInner>,
     release_empty: bool,
-    /// Lock-free caches of recently freed whole pages ([`PdKind::Cached`]
-    /// descriptors), fronting the boundary-tag lock — one per NUMA node,
-    /// keyed by the parked page's home node. A cached page's physical
-    /// frame is *released* and the page is neither in a span freelist nor
-    /// counted in its header's `free_pages` — which guarantees its vmblk
-    /// can never be released while it is parked.
-    page_cache: Box<[PdStack]>,
-    cache_len: Box<[AtomicUsize]>,
+    /// One whole-page cache per NUMA node, keyed by the parked page's home
+    /// node.
+    page_cache: Box<[NodeCache]>,
     cache_enabled: bool,
     faults: Faults,
-    stats: VmblkStats,
+    locked: LockedCounters,
+}
+
+/// Records `node` as the home of the span headed by `head` — the one
+/// descriptor line an allocation dirties outside the lock, reported so a
+/// probe recording shows any write that scales with the span.
+#[inline]
+fn record_home(head: &PageDesc, node: NodeId) {
+    probe::emit(ProbeEvent::LineWrite {
+        line: probe::line_of(head),
+    });
+    head.set_home_node(node);
 }
 
 impl VmblkLayer {
@@ -218,18 +311,18 @@ impl VmblkLayer {
     ) -> Self {
         let nnodes = space.phys().nnodes();
         VmblkLayer {
+            max_span: geometry(space.vmblk_size() >> PAGE_SHIFT).1,
             space,
             inner: SpinLock::new(VmInner {
                 lists: (0..=MAX_SEG).map(|_| PdList::new()).collect(),
+                nonempty: 0,
                 vmblks: ptr::null_mut(),
-                nvmblks: 0,
             }),
             release_empty,
-            page_cache: (0..nnodes).map(|_| PdStack::new()).collect(),
-            cache_len: (0..nnodes).map(|_| AtomicUsize::new(0)).collect(),
+            page_cache: (0..nnodes).map(|_| NodeCache::default()).collect(),
             cache_enabled,
             faults,
-            stats: VmblkStats::default(),
+            locked: LockedCounters::default(),
         }
     }
 
@@ -238,15 +331,25 @@ impl VmblkLayer {
         &self.space
     }
 
-    /// Layer statistics.
-    pub fn stats(&self) -> &VmblkStats {
-        &self.stats
+    /// Layer statistics. Exact when the layer is quiescent; on a live
+    /// layer each field is a sum of monotone counters read at slightly
+    /// different times, so it never goes backwards between two reads.
+    pub fn stats(&self) -> VmblkStats {
+        let cache_hits = self.page_cache.iter().map(|c| c.hits.get()).sum();
+        let cache_puts = self.page_cache.iter().map(|c| c.puts.get()).sum();
+        VmblkStats {
+            vmblks_created: self.locked.vmblks_created.get(),
+            vmblks_released: self.locked.vmblks_released.get(),
+            span_allocs: self.locked.allocs.get() + cache_hits,
+            span_frees: self.locked.frees.get() + cache_puts,
+            cache_hits,
+            cache_puts,
+        }
     }
 
     /// The largest span (in pages) a single vmblk can serve.
     pub fn max_span_pages(&self) -> usize {
-        let total = self.space.vmblk_size() >> PAGE_SHIFT;
-        geometry(total).1
+        self.max_span
     }
 
     /// Resolves the vmblk header covering `addr` via the dope vector.
@@ -260,13 +363,35 @@ impl VmblkLayer {
         Some(unsafe { &*(tag as *const VmblkHeader) })
     }
 
+    /// Resolves the data page covering `addr`: the paper's two-level
+    /// lookup, done once per free.
+    #[inline]
+    pub fn resolve(&self, addr: usize) -> Option<PageRef<'_>> {
+        let hdr = self.header_of(addr)?;
+        Some(PageRef {
+            hdr,
+            idx: hdr.page_index(addr),
+        })
+    }
+
     /// Resolves the page descriptor covering `addr`.
     #[inline]
     pub fn pd_of(&self, addr: usize) -> Option<&PageDesc> {
-        let hdr = self.header_of(addr)?;
-        let idx = hdr.page_index(addr);
-        // SAFETY: `pd` points into the live header area of `hdr`.
-        Some(unsafe { &*hdr.pd(idx) })
+        self.resolve(addr).map(PageRef::pd)
+    }
+
+    /// Resolves a descriptor back to its page. Descriptors live inside
+    /// their vmblk, so the same dope lookup that resolves blocks resolves
+    /// them.
+    #[inline]
+    pub fn page_of(&self, pd: &PageDesc) -> PageRef<'_> {
+        let hdr = self
+            .header_of(pd as *const PageDesc as usize)
+            .expect("descriptor of an unpublished vmblk");
+        PageRef {
+            hdr,
+            idx: hdr.pd_index_of(pd),
+        }
     }
 
     /// Allocates a span of `npages` data pages (claiming physical frames),
@@ -281,16 +406,22 @@ impl VmblkLayer {
     /// As [`VmblkLayer::alloc_span`], preferring physical frames homed on
     /// node `preferred`. A claim never splits across nodes: the whole span
     /// is backed by one node (falling back in wrap-around order when the
-    /// preferred node is exhausted), and that node is recorded as the home
-    /// of every page of the span.
+    /// preferred node is exhausted), and that node is recorded as the
+    /// span's home on its *head* descriptor only — the call touches no
+    /// interior descriptor, whatever the span's length.
     pub fn alloc_span_on(
         &self,
         npages: usize,
         preferred: NodeId,
     ) -> Result<(NonNull<u8>, &PageDesc), VmError> {
         assert!(npages >= 1);
+        if npages > self.max_span {
+            // No vmblk can hold it: refuse before claiming frames or
+            // carving a vmblk that would only be left behind empty.
+            return Err(VmError::OutOfVirtual);
+        }
         if npages == 1 && self.cache_enabled && !self.faults.hit(faults::VMBLK_CACHE) {
-            if let Some(pd) = self.pop_cached(preferred) {
+            if let Some((cache, pd)) = self.pop_cached(preferred) {
                 // SAFETY: the pop transferred possession of the parked
                 // descriptor to us.
                 let pdr = unsafe { &*pd };
@@ -299,23 +430,17 @@ impl VmblkLayer {
                 // the cache hit keeps the frame where the page came from.
                 match self.space.phys().claim_on(pdr.home_node(), 1) {
                     Ok(node) => {
-                        pdr.set_home_node(node);
+                        cache.count(&cache.hits);
+                        record_home(pdr, node);
                         pdr.set_kind(PdKind::Unused);
-                        self.stats.cache_hits.inc();
-                        self.stats.span_allocs.inc();
-                        let (hdr, idx, _) = self.locate(pd, 1);
-                        // SAFETY: `hdr` is a live published header (its
-                        // vmblk cannot be released while a page is
-                        // cached).
-                        let addr = unsafe { &*hdr }.data_page(idx);
-                        return Ok((addr, pdr));
+                        let at = self.page_of(pdr);
+                        return Ok((at.hdr.data_page(at.idx), pdr));
                     }
                     Err(e) => {
-                        // No frame to back it: park the page again.
-                        let home = pdr.home_node().index();
-                        self.cache_len[home].fetch_add(1, Ordering::Relaxed);
+                        // No frame to back it: the page goes back where it
+                        // was parked, and no counter saw it leave.
                         // SAFETY: we possess the descriptor.
-                        unsafe { self.page_cache[home].push(pd) };
+                        unsafe { cache.stack.push(pd) };
                         return Err(e);
                     }
                 }
@@ -325,43 +450,17 @@ impl VmblkLayer {
         // span is never visible in an allocated-but-unbacked state.
         let node = self.space.phys().claim_on(preferred, npages)?;
         let mut inner = self.inner.lock();
-        let found = match self.find_span(&mut inner, npages) {
+        let (hdr, idx, len) = match self.find_span(&inner, npages) {
             Some(found) => found,
-            None => {
-                // Pull parked cache pages back into the boundary-tag
-                // structure before carving a new vmblk: merged, they may
-                // satisfy the request (or free a whole vmblk).
-                let refound = if self.drain_cache_locked(&mut inner) > 0 {
-                    self.find_span(&mut inner, npages)
-                } else {
-                    None
-                };
-                match refound {
-                    Some(found) => found,
-                    None => {
-                        match self.create_vmblk(&mut inner, preferred) {
-                            Ok(()) => {}
-                            Err(e) => {
-                                drop(inner);
-                                self.space.phys().release_on(node, npages);
-                                return Err(e);
-                            }
-                        }
-                        match self.find_span(&mut inner, npages) {
-                            Some(found) => found,
-                            None => {
-                                // Fresh vmblk still too small: the request
-                                // exceeds a vmblk's data capacity.
-                                drop(inner);
-                                self.space.phys().release_on(node, npages);
-                                return Err(VmError::OutOfVirtual);
-                            }
-                        }
-                    }
+            None => match self.find_span_slow(&mut inner, npages, preferred) {
+                Ok(found) => found,
+                Err(e) => {
+                    drop(inner);
+                    self.space.phys().release_on(node, npages);
+                    return Err(e);
                 }
-            }
+            },
         };
-        let (hdr, idx, len) = found;
         // SAFETY: vm lock held; the span was found in our lists.
         unsafe {
             self.remove_free_span(&mut inner, hdr, idx, len);
@@ -371,36 +470,52 @@ impl VmblkLayer {
         }
         // SAFETY: `hdr` is a live published header.
         let hdr_ref = unsafe { &*hdr };
-        hdr_ref.free_pages.fetch_sub(npages, Ordering::Relaxed);
-        // Every page of the span records its frame's home, so any
-        // sub-span the caller splits out later still frees to the right
-        // node.
-        for i in idx..idx + npages {
-            // SAFETY: `pd` points into the live header area.
-            unsafe { &*hdr_ref.pd(i) }.set_home_node(node);
-        }
-        self.stats.span_allocs.inc();
-        let addr = hdr_ref.data_addr(idx);
-        // SAFETY: data addresses are non-null (interior of a reservation).
-        let nn = unsafe { NonNull::new_unchecked(addr) };
+        hdr_ref.free_pages.store(
+            hdr_ref.free_pages.load(Ordering::Relaxed) - npages,
+            Ordering::Relaxed,
+        );
+        self.locked.allocs.bump();
+        // Lists, tags and counts agree again, and the span is in none of
+        // them: the rest is private to this call.
+        drop(inner);
         // SAFETY: `pd` points into the live header area.
         let pd = unsafe { &*hdr_ref.pd(idx) };
-        Ok((nn, pd))
+        record_home(pd, node);
+        Ok((hdr_ref.data_page(idx), pd))
+    }
+
+    /// The miss half of a span search, with the vm lock held: pulls parked
+    /// cache pages back into the boundary-tag structure — merged, they may
+    /// satisfy the request (or free a whole vmblk) — and only then carves
+    /// a new vmblk, which always can (requests beyond a vmblk's capacity
+    /// were refused up front).
+    #[cold]
+    fn find_span_slow(
+        &self,
+        inner: &mut VmInner,
+        npages: usize,
+        preferred: NodeId,
+    ) -> Result<(*mut VmblkHeader, usize, usize), VmError> {
+        if self.drain_cache_locked(inner) > 0 {
+            if let Some(found) = self.find_span(inner, npages) {
+                return Ok(found);
+            }
+        }
+        self.create_vmblk(inner, preferred)?;
+        Ok(self
+            .find_span(inner, npages)
+            .expect("a fresh vmblk serves any span up to max_span_pages"))
     }
 
     /// Pops one parked page, preferring `preferred`'s cache and falling
-    /// back to the other nodes' caches in wrap-around order.
-    fn pop_cached(&self, preferred: NodeId) -> Option<*mut PageDesc> {
+    /// back to the other nodes' caches in wrap-around order. Returns the
+    /// cache it came from, whose `hits` the caller owes a bump.
+    fn pop_cached(&self, preferred: NodeId) -> Option<(&NodeCache, *mut PageDesc)> {
         let nn = self.page_cache.len();
-        for k in 0..nn {
-            let i = (preferred.index() + k) % nn;
-            let (popped, _) = self.page_cache[i].pop();
-            if let Some(pd) = popped {
-                self.cache_len[i].fetch_sub(1, Ordering::Relaxed);
-                return Some(pd);
-            }
-        }
-        None
+        (0..nn).find_map(|k| {
+            let cache = &self.page_cache[(preferred.index() + k) % nn];
+            cache.stack.pop().0.map(|pd| (cache, pd))
+        })
     }
 
     /// Frees a span of `npages` starting at `addr`, coalescing with free
@@ -409,43 +524,51 @@ impl VmblkLayer {
     /// # Safety
     ///
     /// `addr` must be the base of a span previously returned by
-    /// [`VmblkLayer::alloc_span`] with the same `npages` (or a whole
-    /// sub-span the caller split out itself, with consistent accounting),
-    /// with no remaining references into it.
+    /// [`VmblkLayer::alloc_span`], freed whole and at the length it was
+    /// allocated with — the span's home node is recorded on its head
+    /// descriptor only, so a sub-span has none — with no remaining
+    /// references into it.
     pub unsafe fn free_span(&self, addr: NonNull<u8>, npages: usize) {
-        let hdr = self
-            .header_of(addr.as_ptr() as usize)
+        let at = self
+            .resolve(addr.as_ptr() as usize)
             .expect("span address not managed by this allocator");
-        let idx = hdr.page_index(addr.as_ptr() as usize);
+        // SAFETY: forwarded caller contract.
+        unsafe { self.free_span_at(at, npages) };
+    }
+
+    /// [`free_span`](VmblkLayer::free_span) for a caller that has already
+    /// resolved the span's first page.
+    ///
+    /// # Safety
+    ///
+    /// As for `free_span`, with `at` the span's first page.
+    pub unsafe fn free_span_at(&self, at: PageRef<'_>, npages: usize) {
+        let PageRef { hdr, idx } = at;
         debug_assert!(idx + npages <= hdr.ndata);
+        let pd = at.pd();
         // The span's frames all live on the node its head descriptor
         // records (claims never split across nodes).
-        // SAFETY: the span is ours per the function contract.
-        let home = unsafe { &*hdr.pd(idx) }.home_node();
+        let home = pd.home_node();
         if npages == 1 && self.cache_enabled && !self.faults.hit(faults::VMBLK_CACHE) {
-            if self.cache_len[home.index()].fetch_add(1, Ordering::Relaxed) < PAGE_CACHE_CAP {
+            let cache = &self.page_cache[home.index()];
+            if cache.len() < PAGE_CACHE_CAP {
                 // Park the whole page on its home node's lock-free cache:
                 // frame released, page left outside the span structure
                 // (and outside `free_pages`, so its vmblk stays pinned
                 // while parked).
-                self.stats.span_frees.inc();
-                self.stats.cache_puts.inc();
-                let pd = hdr.pd(idx);
-                // SAFETY: the span is ours per the function contract.
-                unsafe { &*pd }.set_kind(PdKind::Cached);
+                cache.count(&cache.puts);
+                pd.set_kind(PdKind::Cached);
                 self.space.phys().release_on(home, 1);
                 // SAFETY: we possess the descriptor until the push
                 // publishes it.
-                unsafe { self.page_cache[home.index()].push(pd) };
+                unsafe { cache.stack.push(pd as *const PageDesc as *mut PageDesc) };
                 return;
             }
-            // Cap overshoot: undo our reservation, take the locked path.
-            self.cache_len[home.index()].fetch_sub(1, Ordering::Relaxed);
         }
         self.space.phys().release_on(home, npages);
-        self.stats.span_frees.inc();
         let hdr_ptr = hdr as *const VmblkHeader as *mut VmblkHeader;
         let mut inner = self.inner.lock();
+        self.locked.frees.bump();
         // SAFETY: lock held; the span is ours per the function contract.
         unsafe { self.merge_free_locked(&mut inner, hdr_ptr, idx, npages) };
     }
@@ -509,7 +632,8 @@ impl VmblkLayer {
         }
         // SAFETY: vm lock held; the merged span is wholly ours.
         unsafe { self.insert_free_span(inner, hdr_ptr, idx, len) };
-        let now_free = hdr.free_pages.fetch_add(npages, Ordering::Relaxed) + npages;
+        let now_free = hdr.free_pages.load(Ordering::Relaxed) + npages;
+        hdr.free_pages.store(now_free, Ordering::Relaxed);
 
         if self.release_empty && now_free == hdr.ndata {
             // SAFETY: vm lock held; the vmblk is entirely free.
@@ -526,9 +650,9 @@ impl VmblkLayer {
     /// so a popped descriptor's header is always still live here.
     fn drain_cache_locked(&self, inner: &mut VmInner) -> usize {
         let mut drained = 0;
-        for (cache, len) in self.page_cache.iter().zip(self.cache_len.iter()) {
-            while let (Some(pd), _) = cache.pop() {
-                len.fetch_sub(1, Ordering::Relaxed);
+        for cache in self.page_cache.iter() {
+            while let (Some(pd), _) = cache.stack.pop() {
+                cache.drained.bump();
                 drained += 1;
                 // SAFETY: the pop transferred possession to us.
                 let pdr = unsafe { &*pd };
@@ -579,9 +703,21 @@ impl VmblkLayer {
     /// `addr` must come from `alloc_large` on this layer, not yet freed,
     /// with no remaining references into the block.
     pub unsafe fn free_large(&self, addr: NonNull<u8>) -> usize {
-        let pd = self
-            .pd_of(addr.as_ptr() as usize)
+        let at = self
+            .resolve(addr.as_ptr() as usize)
             .expect("large-block address not managed by this allocator");
+        // SAFETY: forwarded caller contract.
+        unsafe { self.free_large_at(at) }
+    }
+
+    /// [`free_large`](VmblkLayer::free_large) for a caller that has
+    /// already resolved the block's first page.
+    ///
+    /// # Safety
+    ///
+    /// As for `free_large`, with `at` the block's first page.
+    pub unsafe fn free_large_at(&self, at: PageRef<'_>) -> usize {
+        let pd = at.pd();
         assert_eq!(
             pd.kind(),
             PdKind::Large,
@@ -592,13 +728,16 @@ impl VmblkLayer {
         let npages = unsafe { pd.inner() }.span_pages as usize;
         pd.set_kind(PdKind::Unused);
         // SAFETY: forwarded caller contract; span covers `npages`.
-        unsafe { self.free_span(addr, npages) };
+        unsafe { self.free_span_at(at, npages) };
         npages
     }
 
-    /// Number of live vmblks.
+    /// Number of live vmblks. Lock-free: every vmblk created is live or
+    /// was released, and reading the releases first keeps a racing
+    /// create-then-release from showing as a negative count.
     pub fn nvmblks(&self) -> usize {
-        self.inner.lock().nvmblks
+        let released = self.locked.vmblks_released.get();
+        (self.locked.vmblks_created.get() - released) as usize
     }
 
     /// Sums free-span pages across all lists (verification).
@@ -724,6 +863,13 @@ impl VmblkLayer {
             }
         }
         assert_eq!(listed_free, walked_free, "span freelists out of sync");
+        for k in 1..=MAX_SEG {
+            assert_eq!(
+                inner.nonempty & Self::summary_bit(k) != 0,
+                !inner.lists[k].is_empty(),
+                "non-empty summary out of sync for the {k}-page list"
+            );
+        }
         assert_eq!(
             self.space.phys().in_use(),
             expected_phys,
@@ -739,42 +885,60 @@ impl VmblkLayer {
         }
     }
 
+    /// The summary bit of exact-size list `k` (`1 <= k <= MAX_SEG`).
+    fn summary_bit(k: usize) -> u64 {
+        1 << (k - 1)
+    }
+
     /// Finds (without detaching) a free span of at least `npages`.
     /// Returns `(header, start index, span length)`.
     fn find_span(
         &self,
-        inner: &mut VmInner,
+        inner: &VmInner,
         npages: usize,
     ) -> Option<(*mut VmblkHeader, usize, usize)> {
-        // Exact and near-exact lists first.
-        for k in npages..=MAX_SEG {
-            if let Some(pd) = inner.lists[k].front() {
-                return Some(self.locate(pd, k));
-            }
-        }
-        // First fit among the long spans.
-        // SAFETY: vm lock held (we have `&mut VmInner`).
-        for pd in unsafe { inner.lists[0].iter() } {
-            // SAFETY: vm lock held.
-            let len = unsafe { (*pd).inner() }.span_pages as usize;
-            if len >= npages {
-                return Some(self.locate(pd, len));
-            }
-        }
-        None
+        // The front of the smallest non-empty exact-size list that is long
+        // enough. Bit `k - 1` speaks for `lists[k]`: shift out the lists
+        // too short.
+        let adequate = match npages {
+            1..=MAX_SEG => inner.nonempty >> (npages - 1),
+            _ => 0,
+        };
+        let exact = (adequate != 0).then(|| {
+            let k = npages + adequate.trailing_zeros() as usize;
+            (inner.lists[k].front().expect("summary bit set"), k)
+        });
+        // The walk over every list head that the summary replaced, kept
+        // as the reference debug builds hold its answer against.
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            exact,
+            (npages..=MAX_SEG).find_map(|k| inner.lists[k].front().map(|pd| (pd, k))),
+            "summary-driven pick differs from the list walk"
+        );
+        let pick = exact.or_else(|| {
+            // First fit among the long spans.
+            // SAFETY: vm lock held (we have the locked `VmInner`).
+            unsafe { inner.lists[0].iter() }
+                // SAFETY: vm lock held.
+                .map(|pd| (pd, unsafe { (*pd).inner() }.span_pages as usize))
+                .find(|&(_, len)| len >= npages)
+        });
+        pick.map(|(pd, len)| self.locate(pd, len))
     }
 
     /// Maps a descriptor pointer back to `(header, page index, len)` using
     /// the dope vector (descriptors live inside their vmblk, so the same
     /// two-level lookup that resolves blocks resolves them).
     fn locate(&self, pd: *mut PageDesc, len: usize) -> (*mut VmblkHeader, usize, usize) {
-        let tag = self
-            .space
-            .dope_lookup(pd as usize)
-            .expect("descriptor of an unpublished vmblk");
-        let hdr = tag as *mut VmblkHeader;
-        let idx = (pd as usize - (hdr as usize + PD_OFFSET)) / PD_STRIDE;
-        (hdr, idx, len)
+        // SAFETY: callers pass descriptors of live vmblks (listed or
+        // just popped), which lie in type-stable header storage.
+        let at = self.page_of(unsafe { &*pd });
+        (
+            at.hdr as *const VmblkHeader as *mut VmblkHeader,
+            at.idx,
+            len,
+        )
     }
 
     /// Links a free span into the lists and writes its boundary tags.
@@ -798,6 +962,9 @@ impl VmblkLayer {
         unsafe {
             (*head).inner().span_pages = len as u32;
             inner.lists[Self::bucket(len)].push_front(head);
+        }
+        if len <= MAX_SEG {
+            inner.nonempty |= Self::summary_bit(len);
         }
         // SAFETY: as above.
         unsafe { &*head }.set_kind(PdKind::SpanFreeHead);
@@ -828,6 +995,9 @@ impl VmblkLayer {
         debug_assert_eq!(unsafe { &*head }.kind(), PdKind::SpanFreeHead);
         // SAFETY: vm lock held; `head` is listed per contract.
         unsafe { inner.lists[Self::bucket(len)].remove(head) };
+        if len <= MAX_SEG && inner.lists[len].is_empty() {
+            inner.nonempty &= !Self::summary_bit(len);
+        }
         // SAFETY: as above.
         unsafe { &*head }.set_kind(PdKind::Unused);
         if len >= 2 {
@@ -870,13 +1040,12 @@ impl VmblkLayer {
             unsafe { PageDesc::init((*hdr).pd(i)) };
         }
         inner.vmblks = hdr;
-        inner.nvmblks += 1;
         // Publish *before* inserting the span: `locate` resolves
         // descriptors through the dope vector.
         self.space.set_dope(region.index(), hdr as usize);
         // SAFETY: vm lock held; the whole data area is free and unlisted.
         unsafe { self.insert_free_span(inner, hdr, 0, ndata) };
-        self.stats.vmblks_created.inc();
+        self.locked.vmblks_created.bump();
         Ok(())
     }
 
@@ -906,8 +1075,7 @@ impl VmblkLayer {
             // SAFETY: list members are live.
             cur = unsafe { &mut *(**cur).next.as_ptr() };
         }
-        inner.nvmblks -= 1;
-        self.stats.vmblks_released.inc();
+        self.locked.vmblks_released.bump();
         self.space.phys().release_on(home, header_pages);
         self.space.free_vmblk(region);
     }
@@ -1035,13 +1203,19 @@ mod tests {
         assert_eq!(l.max_span_pages(), 3);
         let err = l.alloc_span(4).unwrap_err();
         assert_eq!(err, VmError::OutOfVirtual);
-        // Nothing leaked: the probe vmblk stays but holds no claimed data
-        // frames beyond its header... in fact the failed path releases
-        // everything it claimed.
-        let in_use = l.space().phys().in_use();
-        // One empty vmblk may remain cached (created during the attempt).
-        l.for_each_vmblk(|h| assert_eq!(h.free_pages(), h.ndata()));
-        assert!(in_use <= 1);
+        // Refused up front: no frame claimed, no vmblk carved and left
+        // behind for nothing to collect.
+        assert_eq!(l.nvmblks(), 0);
+        assert_eq!(l.space().phys().in_use(), 0);
+        assert_eq!(l.space().phys().total_mapped(), 0);
+        // Likewise on a layer that already holds a vmblk.
+        let a = l.alloc_large(PAGE_SIZE).unwrap();
+        assert_eq!(l.alloc_span(4).unwrap_err(), VmError::OutOfVirtual);
+        assert_eq!(l.nvmblks(), 1);
+        l.verify();
+        // SAFETY: block just allocated, unreferenced.
+        unsafe { l.free_large(a) };
+        assert_eq!(l.nvmblks(), 0);
     }
 
     #[test]
@@ -1112,12 +1286,12 @@ mod tests {
         // the data frame is already back in the pool.
         assert_eq!(l.nvmblks(), 1);
         assert_eq!(l.space().phys().in_use(), 1);
-        assert_eq!(l.stats().cache_puts.get(), 1);
+        assert_eq!(l.stats().cache_puts, 1);
         l.verify();
         // The next single-page request is served straight from the cache.
         let (b, _) = l.alloc_span(1).unwrap();
         assert_eq!(b, a);
-        assert_eq!(l.stats().cache_hits.get(), 1);
+        assert_eq!(l.stats().cache_hits, 1);
         // SAFETY: span just allocated, unreferenced.
         unsafe { l.free_span(b, 1) };
         l.drain_page_cache();
@@ -1126,6 +1300,38 @@ mod tests {
         assert_eq!(l.nvmblks(), 0);
         assert_eq!(l.space().phys().in_use(), 0);
         l.verify();
+    }
+
+    #[test]
+    fn page_cache_stops_parking_at_its_cap() {
+        let space = Arc::new(KernelSpace::new(
+            SpaceConfig::new(1 << 22).vmblk_shift(20).phys_pages(512),
+        ));
+        let l = VmblkLayer::new_with_cache(space, true, Faults::none());
+        let over = PAGE_CACHE_CAP + 6;
+        let pages: Vec<_> = (0..over).map(|_| l.alloc_span(1).unwrap().0).collect();
+        for p in pages {
+            // SAFETY: span allocated above, unreferenced.
+            unsafe { l.free_span(p, 1) };
+        }
+        // The cap's worth parked; the rest merged under the lock.
+        let st = l.stats();
+        assert_eq!(st.cache_puts, PAGE_CACHE_CAP);
+        assert_eq!((st.span_allocs, st.span_frees), (over, over));
+        assert_eq!(
+            l.free_span_pages() as u64,
+            l.max_span_pages() as u64 - PAGE_CACHE_CAP
+        );
+        // A hit makes room for one more.
+        let (p, _) = l.alloc_span(1).unwrap();
+        assert_eq!(l.stats().cache_hits, 1);
+        // SAFETY: span just allocated, unreferenced.
+        unsafe { l.free_span(p, 1) };
+        assert_eq!(l.stats().cache_puts, PAGE_CACHE_CAP + 1);
+        l.verify();
+        l.drain_page_cache();
+        assert_eq!(l.nvmblks(), 0);
+        assert_eq!(l.space().phys().in_use(), 0);
     }
 
     #[test]
@@ -1141,7 +1347,7 @@ mod tests {
             l.free_span(c, 1);
         }
         // All three pages parked: no free span anywhere.
-        assert_eq!(l.stats().cache_puts.get(), 3);
+        assert_eq!(l.stats().cache_puts, 3);
         assert_eq!(l.free_span_pages(), 0);
         // A multi-page request cannot hit the cache; the slow path drains
         // the parked pages back into the boundary-tag structure, where
@@ -1167,21 +1373,21 @@ mod tests {
         let (a, _) = l.alloc_span(1).unwrap(); // consult 1: cache empty anyway
                                                // SAFETY: span just allocated, unreferenced.
         unsafe { l.free_span(a, 1) }; // consult 2: parked
-        assert_eq!(l.stats().cache_puts.get(), 1);
+        assert_eq!(l.stats().cache_puts, 1);
         // Fault on the get: the parked page is ignored, the boundary-tag
         // path serves a different page of the same vmblk.
         let (b, _) = l.alloc_span(1).unwrap(); // consult 3: FIRE
         assert_ne!(b, a);
-        assert_eq!(l.stats().cache_hits.get(), 0);
+        assert_eq!(l.stats().cache_hits, 0);
         // Fault on the put: the free takes the locked merge path.
         // SAFETY: span just allocated, unreferenced.
         unsafe { l.free_span(b, 1) }; // consult 4: FIRE
-        assert_eq!(l.stats().cache_puts.get(), 1);
+        assert_eq!(l.stats().cache_puts, 1);
         l.verify();
         // Faults exhausted: the cache works again end to end.
         let (c, _) = l.alloc_span(1).unwrap(); // consult 5: cache hit
         assert_eq!(c, a);
-        assert_eq!(l.stats().cache_hits.get(), 1);
+        assert_eq!(l.stats().cache_hits, 1);
         // SAFETY: span just allocated, unreferenced.
         unsafe { l.free_span(c, 1) }; // consult 6: parked
         let st = plan
@@ -1218,6 +1424,118 @@ mod tests {
     }
 
     #[test]
+    fn span_home_lives_on_the_head_descriptor_only() {
+        // 64 KB vmblks: one header page, 15 data pages.
+        let space = Arc::new(KernelSpace::new(
+            SpaceConfig::new(1 << 20)
+                .vmblk_shift(16)
+                .phys_pages(256)
+                .nodes(2),
+        ));
+        let l = VmblkLayer::new(space, true);
+        let (zero, one) = (NodeId::new(0), NodeId::new(1));
+        let (a, pd) = l.alloc_span_on(8, one).unwrap();
+        assert_eq!(pd.home_node(), one);
+        assert_eq!(l.space().phys().node(one).in_use(), 8 + 1);
+        // No per-page walk: the interior descriptors still read as
+        // `PageDesc::init` left them.
+        for i in 1..8 {
+            let interior = l.pd_of(a.as_ptr() as usize + i * PAGE_SIZE).unwrap();
+            assert_eq!(interior.home_node(), zero, "interior page {i}");
+        }
+        // SAFETY: span just allocated, unreferenced, freed whole.
+        unsafe { l.free_span(a, 8) };
+        // The head alone sent all eight frames back to node 1.
+        assert_eq!(l.space().phys().node(one).in_use(), 0);
+        assert_eq!(l.space().phys().in_use(), 0);
+    }
+
+    /// One letter per shared-memory event: `L`ock acquire, `u`nlock,
+    /// interlocked `m`odify, `r`ead, `w`rite.
+    fn event_string(events: &[ProbeEvent]) -> String {
+        events
+            .iter()
+            .map(|e| match e {
+                ProbeEvent::LockAcquire { .. } => 'L',
+                ProbeEvent::LockRelease { .. } => 'u',
+                ProbeEvent::LineRmw { .. } => 'm',
+                ProbeEvent::LineRead { .. } => 'r',
+                ProbeEvent::LineWrite { .. } => 'w',
+                ProbeEvent::Work { .. } => '.',
+            })
+            .collect()
+    }
+
+    /// Interlocked operations in an event string: each lock acquisition
+    /// and each read-modify-write is one.
+    fn interlocked(events: &str) -> usize {
+        events.chars().filter(|c| matches!(c, 'L' | 'm')).count()
+    }
+
+    #[test]
+    fn span_pair_steps_do_not_grow_with_span_length() {
+        // 1 MB vmblks (251 data pages) so a 64-page span fits.
+        let layer = |cached| {
+            let space = Arc::new(KernelSpace::new(
+                SpaceConfig::new(1 << 22).vmblk_shift(20).phys_pages(512),
+            ));
+            let l = if cached {
+                VmblkLayer::new_with_cache(space, true, Faults::none())
+            } else {
+                VmblkLayer::new(space, true)
+            };
+            // Warm: a pinned block keeps the vmblk, and one big pair puts
+            // the pool's high-water mark above anything measured below.
+            let pin = l.alloc_large(2 * PAGE_SIZE).unwrap();
+            let big = l.alloc_large(64 * PAGE_SIZE).unwrap();
+            // SAFETY: block just allocated, unreferenced.
+            unsafe { l.free_large(big) };
+            (l, pin)
+        };
+        let large_pair = |l: &VmblkLayer, pages: usize| {
+            let ((), events) = probe::record(|| {
+                let p = l.alloc_large(pages * PAGE_SIZE).unwrap();
+                // SAFETY: block just allocated, unreferenced.
+                unsafe { l.free_large(p) };
+            });
+            event_string(&events)
+        };
+        let page_pair = |l: &VmblkLayer| {
+            let ((), events) = probe::record(|| {
+                let (p, _) = l.alloc_span(1).unwrap();
+                // SAFETY: span just allocated, unreferenced.
+                unsafe { l.free_span(p, 1) };
+            });
+            event_string(&events)
+        };
+
+        let (l, pin) = layer(true);
+        let two = large_pair(&l, 2);
+        assert_eq!(two, large_pair(&l, 64), "steps depend on span length");
+        // Claim 2, release 1, the boundary-tag lock twice.
+        assert!(interlocked(&two) <= 5, "large pair: {two}");
+        // The first single-page pair parks its page; the second rides the
+        // lock-free cache both ways.
+        page_pair(&l);
+        let cached = page_pair(&l);
+        assert!(!cached.contains('L'), "cached pair took the lock: {cached}");
+        assert!(interlocked(&cached) <= 8, "cached page pair: {cached}");
+        assert_eq!(l.stats().cache_hits, 1);
+        assert_eq!(l.stats().cache_puts, 2);
+        // SAFETY: block allocated above, unreferenced.
+        unsafe { l.free_large(pin) };
+        l.drain_page_cache();
+        assert_eq!(l.nvmblks(), 0);
+
+        let (l, pin) = layer(false);
+        let locked = page_pair(&l);
+        assert!(interlocked(&locked) <= 5, "locked page pair: {locked}");
+        // SAFETY: block allocated above, unreferenced.
+        unsafe { l.free_large(pin) };
+        assert_eq!(l.nvmblks(), 0);
+    }
+
+    #[test]
     fn page_cache_is_sharded_by_home_node() {
         let space = Arc::new(KernelSpace::new(
             SpaceConfig::new(1 << 20)
@@ -1236,7 +1554,7 @@ mod tests {
             l.free_span(a, 1);
             l.free_span(b, 1);
         }
-        assert_eq!(l.stats().cache_puts.get(), 2);
+        assert_eq!(l.stats().cache_puts, 2);
         // A node-1 request takes the page parked on node 1's cache...
         let (c, pdc) = l.alloc_span_on(1, n1).unwrap();
         assert_eq!(c, b);
@@ -1244,7 +1562,7 @@ mod tests {
         // ...and with that cache empty, the node-0 page is the fallback.
         let (d, _) = l.alloc_span_on(1, n1).unwrap();
         assert_eq!(d, a);
-        assert_eq!(l.stats().cache_hits.get(), 2);
+        assert_eq!(l.stats().cache_hits, 2);
         // SAFETY: spans just allocated, unreferenced.
         unsafe {
             l.free_span(c, 1);

@@ -13,20 +13,26 @@
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
+use kmem_smp::probe;
 use kmem_smp::{faults, Faults, NodeId};
 
 use crate::error::VmError;
 
 /// A bounded pool of physical page frames.
+///
+/// A claim/release pair costs three interlocked operations in the steady
+/// state: the `in_use` exchange and the `maps` add on the claim, the
+/// `in_use` subtract on the release. Each is reported to the simulator as
+/// a [`ProbeEvent::LineRmw`] on the pool's line.
 pub struct PhysPool {
     capacity: usize,
     in_use: AtomicUsize,
-    /// High-water mark of frames simultaneously in use.
+    /// High-water mark of frames simultaneously in use. Read on every
+    /// claim, written only by a claim that raises it.
     peak: AtomicUsize,
-    /// Total map operations, for stats.
+    /// Total frames ever claimed. Frames released are not stored: every
+    /// frame claimed is either still in use or was released.
     maps: AtomicUsize,
-    /// Total unmap operations, for stats.
-    unmaps: AtomicUsize,
     /// Failpoint handle; `faults::PHYS_CLAIM` can force claim failures.
     faults: Faults,
 }
@@ -44,7 +50,6 @@ impl PhysPool {
             in_use: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             maps: AtomicUsize::new(0),
-            unmaps: AtomicUsize::new(0),
             faults,
         }
     }
@@ -74,9 +79,20 @@ impl PhysPool {
         self.maps.load(Ordering::Relaxed)
     }
 
-    /// Total [`PhysPool::release`] page-count.
+    /// Total [`PhysPool::release`] page-count: the frames claimed that
+    /// are no longer in use. Exact when no claim is in flight; a reader
+    /// racing one may undercount by that claim's frames, never underflow.
     pub fn total_unmapped(&self) -> usize {
-        self.unmaps.load(Ordering::Relaxed)
+        self.total_mapped().saturating_sub(self.in_use())
+    }
+
+    /// Reports an interlocked update of one of the pool's words. All are
+    /// reported on `in_use`'s line: the pool is modelled as the one line
+    /// it nearly always is, so a simulated run does not depend on where
+    /// the allocator happened to place it.
+    #[inline]
+    fn emit_rmw(&self) {
+        probe::emit_rmw(&self.in_use);
     }
 
     /// Claims `n` frames, failing (with no partial claim) if fewer are free.
@@ -96,13 +112,20 @@ impl PhysPool {
                     available: self.capacity - cur,
                 });
             }
+            self.emit_rmw();
             match self
                 .in_use
                 .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed)
             {
                 Ok(_) => {
+                    self.emit_rmw();
                     self.maps.fetch_add(n, Ordering::Relaxed);
-                    self.peak.fetch_max(new, Ordering::Relaxed);
+                    // `fetch_max` keeps racing raisers correct; the load
+                    // keeps every claim below the mark from paying for it.
+                    if new > self.peak.load(Ordering::Relaxed) {
+                        self.emit_rmw();
+                        self.peak.fetch_max(new, Ordering::Relaxed);
+                    }
                     return Ok(());
                 }
                 Err(actual) => cur = actual,
@@ -117,7 +140,7 @@ impl PhysPool {
     /// Panics if more frames are released than were claimed — that is a
     /// double-unmap bug in the caller.
     pub fn release(&self, n: usize) {
-        self.unmaps.fetch_add(n, Ordering::Relaxed);
+        self.emit_rmw();
         let prev = self.in_use.fetch_sub(n, Ordering::AcqRel);
         assert!(prev >= n, "physical page pool: released more than claimed");
     }
@@ -303,6 +326,31 @@ mod tests {
         assert_eq!(p.peak(), 10);
         assert_eq!(p.total_mapped(), 10);
         assert_eq!(p.total_unmapped(), 10);
+    }
+
+    #[test]
+    fn steady_state_pair_is_three_rmws_and_a_new_peak_one_more() {
+        let rmws = |p: &PhysPool, n| {
+            let ((), ev) = probe::record(|| {
+                p.claim(n).unwrap();
+                p.release(n);
+            });
+            assert!(ev
+                .iter()
+                .all(|e| matches!(e, probe::ProbeEvent::LineRmw { .. })));
+            ev.len()
+        };
+        let p = PhysPool::new(10);
+        // The first claim raises the high-water mark from zero.
+        assert_eq!(rmws(&p, 4), 4);
+        // At or below the mark: in_use exchange, maps add, in_use subtract.
+        assert_eq!(rmws(&p, 4), 3);
+        assert_eq!(rmws(&p, 1), 3);
+        assert_eq!(rmws(&p, 5), 4);
+        assert_eq!(
+            (p.peak(), p.total_mapped(), p.total_unmapped()),
+            (5, 14, 14)
+        );
     }
 
     #[test]

@@ -17,6 +17,27 @@ if [ -n "$foreign" ]; then
     exit 1
 fi
 
+echo "==> doc rot: every file the docs name must be in the tree"
+# A backticked word ending in a source/data extension is a file name, and
+# must be a file of the tree — exactly or as a path suffix (`probe.rs` for
+# crates/smp/src/probe.rs). Patterns (`BENCH_*.json`) are not names.
+tree_files=$(find . \( -name target -o -name .git \) -prune -o -type f -print \
+    | sed 's|^\./||')
+rot=0
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for name in $(grep -o '`[^`]*`' "$doc" | tr -d '`' | tr ' \t' '\n\n' \
+        | grep -E '^[A-Za-z0-9_./-]+\.(rs|sh|json|jsonl|txt|toml|md)$' | sort -u); do
+        name=${name#./}
+        if ! awk -v n="$name" '
+            $0 == n || substr($0, length($0) - length(n)) == "/" n { found = 1; exit }
+            END { exit !found }' <<<"$tree_files"; then
+            echo "ERROR: $doc names \`$name\`, which is not in the tree" >&2
+            rot=1
+        fi
+    done
+done
+[ "$rot" -eq 0 ]
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -70,6 +91,10 @@ for t in 2 4 8; do
         cargo test -q --release --offline -p kmem-testkit \
         --test page_contention
 done
+# The span path's step budget, where debug assertions cannot add steps:
+# interlocked operations per pair, and the same events for any span length.
+cargo test -q --release --offline -p kmem --lib \
+    span_pair_steps_do_not_grow_with_span_length
 
 echo "==> hardened profile (release): detection guards + torture round"
 # The corruption defenses must detect in *release* builds, not just under
