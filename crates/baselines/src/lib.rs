@@ -14,11 +14,14 @@
 //!
 //! This crate implements (3) and (4) from their sources and defines the
 //! [`KernelAllocator`] trait that lets benches and tests drive all four
-//! through one interface ([`adapters`] wraps the `kmem` arena).
+//! through one interface ([`adapters`] wraps the `kmem` arena). [`spin`]
+//! holds the per-layer baselines: the spin-locked global pool and page
+//! layer the lock-free ones replaced.
 
 pub mod adapters;
 pub mod mk;
 pub mod oldkma;
+pub mod spin;
 
 pub use adapters::{KmemCookieAlloc, KmemStdAlloc};
 pub use mk::MkAllocator;

@@ -23,8 +23,8 @@ use std::time::Instant;
 use kmem::chain::Chain;
 use kmem::global::GlobalPool;
 use kmem::{HardenedConfig, KmemConfig};
+use kmem_baselines::spin::{backing, chain, discard, SpinPool};
 use kmem_bench::{arena_contended_pair_ns, BenchReport};
-use kmem_smp::{EventCounter, SpinLock};
 
 const TARGET: usize = 4;
 const OPS_PER_THREAD: usize = 100_000;
@@ -50,25 +50,6 @@ const HARDENED_SEED: u64 = 0x4245_4e43_4752_4e44; // "BENCGRND"
 /// cost should *shrink* relative to the uncontended 6x fast-path bound.
 const HARDENED_MAX_MULT: f64 = 8.0;
 
-/// Backing store of fake blocks with stable addresses.
-#[expect(clippy::vec_box)]
-fn backing(n: usize) -> Vec<Box<[u8; 32]>> {
-    (0..n).map(|_| Box::new([0u8; 32])).collect()
-}
-
-fn chain(store: &mut [Box<[u8; 32]>], range: core::ops::Range<usize>) -> Chain {
-    let mut c = Chain::new();
-    for b in &mut store[range] {
-        // SAFETY: fake blocks are owned and disjoint.
-        unsafe { c.push(b.as_mut_ptr()) };
-    }
-    c
-}
-
-fn discard(mut c: Chain) {
-    while c.pop().is_some() {}
-}
-
 /// The two pools under one interface.
 trait ChainPool: Sync {
     fn get(&self) -> Option<Chain>;
@@ -93,76 +74,18 @@ impl ChainPool for GlobalPool {
     }
 }
 
-/// The pre-rework design, reproduced op-for-op: every access takes the
-/// pool lock, bumps the same counters the old `GlobalPool` kept, and —
-/// as the old put path did — re-sums the pool total under the lock to
-/// enforce the `2 * gbltarget` bound.
-struct SpinPool {
-    inner: SpinLock<SpinInner>,
-    gbltarget: usize,
-    get: EventCounter,
-    get_chain_hits: EventCounter,
-    get_miss: EventCounter,
-    put: EventCounter,
-}
-
-struct SpinInner {
-    chains: Vec<Chain>,
-    bucket: Chain,
-}
-
-impl SpinPool {
-    fn new(gbltarget: usize) -> Self {
-        SpinPool {
-            inner: SpinLock::new(SpinInner {
-                chains: Vec::new(),
-                bucket: Chain::new(),
-            }),
-            gbltarget,
-            get: EventCounter::new(),
-            get_chain_hits: EventCounter::new(),
-            get_miss: EventCounter::new(),
-            put: EventCounter::new(),
-        }
-    }
-}
-
+/// The pre-rework design: one lock around the whole pool.
 impl ChainPool for SpinPool {
     fn get(&self) -> Option<Chain> {
-        self.get.inc();
-        let mut inner = self.inner.lock();
-        let chain = inner.chains.pop();
-        drop(inner);
-        match chain {
-            Some(c) => {
-                self.get_chain_hits.inc();
-                Some(c)
-            }
-            None => {
-                self.get_miss.inc();
-                None
-            }
-        }
+        SpinPool::get(self)
     }
 
     fn put(&self, c: Chain) {
-        self.put.inc();
-        let mut inner = self.inner.lock();
-        inner.chains.push(c);
-        let total = inner.bucket.len() + inner.chains.iter().map(Chain::len).sum::<usize>();
-        drop(inner);
-        assert!(
-            total <= 2 * self.gbltarget,
-            "bench pool sized to never spill"
-        );
+        SpinPool::put(self, c);
     }
 
     fn drain(&self) {
-        let mut inner = self.inner.lock();
-        for c in inner.chains.drain(..) {
-            discard(c);
-        }
-        discard(inner.bucket.take());
+        SpinPool::drain(self);
     }
 }
 

@@ -1,124 +1,17 @@
-//! Shared emitter for the `BENCH_*.json` artifacts.
+//! The envelope every `BENCH_*.json` artifact shares.
 //!
-//! The workspace is hermetic (no serde), so the benches hand-roll their
-//! JSON; this module is the one place that does it. Every artifact gets
-//! the same envelope — `schema` version, `bench` name, RNG `seed` (zero
+//! The values are written through the workspace's one JSON emitter,
+//! [`kmem::json::JsonObj`] (re-exported here). Every artifact gets the
+//! same envelope — `schema` version, `bench` name, RNG `seed` (zero
 //! for benches with no randomized workload), and a `config` object
 //! holding the knobs the numbers depend on — so a reader can tell at a
 //! glance which code vintage and parameters produced a file.
 
-use core::fmt::Write as _;
+pub use kmem::json::JsonObj;
 
 /// Version stamped into every artifact as `"schema"`. Bump when the
 /// envelope itself (not a bench's own fields) changes shape.
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// An in-progress JSON object. Keys are emitted in call order; values
-/// are limited to what the benches need (numbers, short names, nested
-/// objects and arrays-of-objects).
-pub struct JsonObj {
-    buf: String,
-    first: bool,
-}
-
-impl Default for JsonObj {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl JsonObj {
-    pub fn new() -> Self {
-        JsonObj {
-            buf: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn key(&mut self, k: &str) {
-        debug_assert!(!k.contains(['"', '\\']), "keys are plain identifiers");
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        let _ = write!(self.buf, "\"{k}\":");
-    }
-
-    /// A string value. Values must not need escaping (bench and profile
-    /// names are plain identifiers).
-    pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
-        debug_assert!(
-            !v.contains(['"', '\\']),
-            "string values must not need escaping"
-        );
-        self.key(k);
-        let _ = write!(self.buf, "\"{v}\"");
-        self
-    }
-
-    pub fn u64(&mut self, k: &str, v: u64) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    pub fn usize(&mut self, k: &str, v: usize) -> &mut Self {
-        self.u64(k, v as u64)
-    }
-
-    pub fn bool(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    /// A float rendered with `prec` decimal places (JSON has no NaN or
-    /// infinity; the benches only publish finite measurements).
-    pub fn f64(&mut self, k: &str, v: f64, prec: usize) -> &mut Self {
-        debug_assert!(v.is_finite(), "artifacts hold finite measurements only");
-        self.key(k);
-        let _ = write!(self.buf, "{v:.prec$}");
-        self
-    }
-
-    /// A nested object built by `f`.
-    pub fn obj(&mut self, k: &str, f: impl FnOnce(&mut JsonObj)) -> &mut Self {
-        self.key(k);
-        let mut child = JsonObj::new();
-        f(&mut child);
-        self.buf.push_str(&child.finish());
-        self
-    }
-
-    /// An array of objects, one per item, each built by `f`.
-    pub fn arr<T>(
-        &mut self,
-        k: &str,
-        items: impl IntoIterator<Item = T>,
-        mut f: impl FnMut(T, &mut JsonObj),
-    ) -> &mut Self {
-        self.key(k);
-        self.buf.push('[');
-        let mut first = true;
-        for item in items {
-            if !first {
-                self.buf.push(',');
-            }
-            first = false;
-            let mut child = JsonObj::new();
-            f(item, &mut child);
-            self.buf.push_str(&child.finish());
-        }
-        self.buf.push(']');
-        self
-    }
-
-    pub fn finish(self) -> String {
-        let mut buf = self.buf;
-        buf.push('}');
-        buf
-    }
-}
 
 /// A `BENCH_*.json` artifact under construction, with the standard
 /// envelope pre-filled.
@@ -194,12 +87,5 @@ mod tests {
             "\"results\":[{\"threads\":1,\"win\":false},\
              {\"threads\":2,\"win\":true}],\"sim\":{\"rate\":1235}}"
         ));
-    }
-
-    #[test]
-    fn empty_iterators_render_empty_arrays() {
-        let mut obj = JsonObj::new();
-        obj.arr("rows", core::iter::empty::<usize>(), |_, _| {});
-        assert_eq!(obj.finish(), "{\"rows\":[]}");
     }
 }

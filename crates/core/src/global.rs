@@ -38,6 +38,7 @@ use kmem_smp::{faults, EventCounter, Faults, SpinLock, TaggedAtomic};
 
 use crate::block::{self, LinkKey};
 use crate::chain::Chain;
+use crate::counters::{self, counters};
 
 /// Statistics for one global pool.
 ///
@@ -127,6 +128,102 @@ impl GlobalStats {
     }
 }
 
+counters! {
+    /// Global-pool per-event detail for one class.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct GlobalCounts {
+        /// Chain requests (hits and misses); derived as
+        /// `get_fast + get_slow` from the same sweep.
+        counter get: u64,
+        /// Gets served entirely by the lock-free CAS pop.
+        counter get_fast: u64,
+        /// Gets that took the locked slow path.
+        counter get_slow: u64,
+        /// Gets first served from a ready `target`-sized chain.
+        counter get_chain_hits: u64,
+        /// Gets first served from the bucket list.
+        counter get_bucket_hits: u64,
+        /// Gets that returned fewer than `target` blocks.
+        counter get_short: u64,
+        /// Blocks missing from short gets, summed.
+        counter get_short_deficit: u64,
+        /// Gets that fell through to the coalesce-to-page layer.
+        counter get_miss: u64,
+        /// Chains returned by per-CPU caches; derived as
+        /// `put_fast + put_slow` from the same sweep.
+        counter put: u64,
+        /// Exact-`target` puts served entirely by the lock-free CAS push.
+        counter put_fast: u64,
+        /// Puts that took the locked slow path.
+        counter put_slow: u64,
+        /// Puts through the odd-sized bucket path.
+        counter put_odd: u64,
+        /// Puts that spilled to the coalesce-to-page layer.
+        counter put_miss: u64,
+        /// Spills forced by the pressure ladder (`spill_to`), counted apart
+        /// from `put_miss` so the latter stays bounded by `put`.
+        counter pressure_spills: u64,
+        /// Blocks spilled to the coalesce-to-page layer (all causes).
+        counter spill_blocks: u64,
+        /// Failed tag-CAS attempts on the lock-free chain stack (monotone;
+        /// zero without contention).
+        counter cas_retries: u64,
+    }
+}
+
+impl GlobalCounts {
+    /// Sweeps one class's shards (one per node) into a single merged view,
+    /// so per-class global counters keep their pre-NUMA meaning. Each
+    /// shard is swept with the order guarantees of [`GlobalCounts::read`],
+    /// and every derived partition (`get = get_fast + get_slow`, …) is a
+    /// sum of per-shard equalities, so it survives the merge.
+    pub(crate) fn read_merged<'a>(shards: impl Iterator<Item = &'a GlobalStats>) -> GlobalCounts {
+        let mut total = GlobalCounts::default();
+        for s in shards {
+            total.merge(&GlobalCounts::read(s));
+        }
+        total
+    }
+
+    /// Field-wise accumulation (summing shards or classes).
+    pub fn merge(&mut self, other: &GlobalCounts) {
+        counters::merge(self, other);
+    }
+
+    /// Sweeps one shard. By hand, because the totals are *derived*: the
+    /// pool keeps no total counters (the lock-free fast path pays one RMW
+    /// per operation), so `get`, `put` and `get_chain_hits` are summed
+    /// from this single sweep — which makes the fast/slow partition an
+    /// equality even on live samples. The initializers run in the order
+    /// written, which follows the sweep order rule of [`crate::counters`]:
+    /// slow-path outcome details before the slow-entry counters that
+    /// bound them.
+    pub(crate) fn read(s: &GlobalStats) -> GlobalCounts {
+        let mut c = GlobalCounts {
+            cas_retries: s.cas_retries.get(),
+            spill_blocks: s.spill_blocks.get(),
+            pressure_spills: s.pressure_spills.get(),
+            put_miss: s.put_miss.get(),
+            put_odd: s.put_odd.get(),
+            put_slow: s.put_slow.get(),
+            put_fast: s.put_fast.get(),
+            get_miss: s.get_miss.get(),
+            get_short: s.get_short.get(),
+            get_short_deficit: s.get_short_deficit.get(),
+            get_chain_hits: s.get_chain_hits_slow.get(),
+            get_bucket_hits: s.get_bucket_hits.get(),
+            get_slow: s.get_slow.get(),
+            get_fast: s.get_fast.get(),
+            get: 0,
+            put: 0,
+        };
+        c.get = c.get_fast + c.get_slow;
+        c.get_chain_hits += c.get_fast;
+        c.put = c.put_fast + c.put_slow;
+        c
+    }
+}
+
 /// The global free pool for one size class.
 pub struct GlobalPool {
     /// Treiber stack of intact, exactly-`target`-sized chains. Only
@@ -161,21 +258,16 @@ pub struct GlobalPool {
 }
 
 impl GlobalPool {
-    /// Creates an empty pool with the class's `target` and `gbltarget`.
+    /// Creates an empty pool with the class's `target` and `gbltarget`
+    /// (no failpoints, plain link encoding — the default profile).
     pub fn new(target: usize, gbltarget: usize) -> Self {
-        GlobalPool::new_with_faults(target, gbltarget, Faults::none())
-    }
-
-    /// Creates an empty pool wired to `faults`: the `faults::GLOBAL_GET`
-    /// site is consulted on *both* the CAS fast path and the locked slow
-    /// path of [`GlobalPool::get_chain`].
-    pub fn new_with_faults(target: usize, gbltarget: usize, faults: Faults) -> Self {
         GlobalPool::new_hardened(target, gbltarget, Faults::none(), LinkKey::PLAIN)
-            .with_faults(faults)
     }
 
-    /// Creates an empty pool whose stack words, stash words, and bucket
-    /// links are all encoded under `key`.
+    /// The full constructor: an empty pool wired to `faults` (the
+    /// `faults::GLOBAL_GET` site is consulted on *both* the CAS fast path
+    /// and the locked slow path of [`GlobalPool::get_chain`]) whose stack
+    /// words, stash words, and bucket links are all encoded under `key`.
     pub fn new_hardened(target: usize, gbltarget: usize, faults: Faults, key: LinkKey) -> Self {
         assert!(target >= 1, "target-sized chains must hold a block");
         GlobalPool {
@@ -189,11 +281,6 @@ impl GlobalPool {
             faults,
             stats: GlobalStats::default(),
         }
-    }
-
-    fn with_faults(mut self, faults: Faults) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// This pool's `target`.
@@ -1134,7 +1221,7 @@ mod tests {
     fn global_get_fault_covers_fast_and_slow_paths() {
         let mut blocks = Blocks::new(32);
         let faults = Faults::with_plan();
-        let pool = GlobalPool::new_with_faults(3, 8, faults.clone());
+        let pool = GlobalPool::new_hardened(3, 8, faults.clone(), LinkKey::PLAIN);
         pool.put_chain(blocks.chain(3)); // fast-path ammunition
         pool.put_odd(blocks.chain(2)); // slow-path ammunition
 

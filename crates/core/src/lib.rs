@@ -62,8 +62,10 @@ pub mod block;
 pub mod chain;
 pub mod config;
 pub mod cookie;
+pub mod counters;
 pub mod error;
 pub mod global;
+pub mod json;
 pub mod maint;
 pub mod object;
 pub mod pagedesc;

@@ -63,22 +63,31 @@ use kmem_vm::{VmError, PAGE_SIZE};
 
 use crate::block::{self, LinkKey};
 use crate::chain::Chain;
+use crate::counters::counters;
 use crate::pagedesc::{PageDesc, PdBuckets, PdKind};
 use crate::vmblklayer::VmblkLayer;
 
-/// Statistics for one coalesce-to-page instance.
-#[derive(Default)]
-pub struct PageLayerStats {
-    /// Chain requests from the global layer.
-    pub refills: EventCounter,
-    /// Refills that had to take a fresh page from the vmblk layer.
-    pub page_acquires: EventCounter,
-    /// Pages fully drained and returned to the vmblk layer.
-    pub page_releases: EventCounter,
-    /// Individual blocks pushed down from the global layer.
-    pub block_frees: EventCounter,
-    /// Failed CAS attempts across every lock-free path of the layer.
-    pub cas_retries: EventCounter,
+counters! {
+    /// Coalesce-to-page counters for one class, as captured by a snapshot.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PageCounts {
+        /// Chain requests from the global layer.
+        counter refills: u64,
+        /// Refills that had to take a fresh page from the vmblk layer.
+        counter page_acquires: u64,
+        /// Pages fully drained and returned to the vmblk layer.
+        counter page_releases: u64,
+        /// Individual blocks pushed down from the global layer.
+        counter block_frees: u64,
+        /// Failed CAS attempts on the lock-free radix lists and per-page
+        /// freelists (contention indicator; zero when single-threaded).
+        counter cas_retries: u64,
+    }
+    /// Live statistics of one coalesce-to-page instance. Retries are
+    /// declared last, so a sweep reads them first: they precede the
+    /// operation counters they belong to, and a live sample never shows an
+    /// operation whose retries are still missing.
+    live struct PageLayerStats<EventCounter>;
 }
 
 /// Decoded view of a page's packed `state` word. Layout inside the 48-bit
@@ -161,29 +170,26 @@ pub struct PageLayer {
 }
 
 impl PageLayer {
-    /// Creates the layer for size class `class` with the given block size.
+    /// Creates the layer for size class `class` with the given block size
+    /// (no failpoints, plain links, ascending carve, no carve-time poison
+    /// — the default profile).
     pub fn new(class: usize, block_size: usize, radix: bool) -> Self {
-        PageLayer::new_with_faults(class, block_size, radix, Faults::none())
-    }
-
-    /// As [`new`](PageLayer::new), wired to a fault-injection plan
-    /// (consults `page.get` and `page.coalesce`).
-    pub fn new_with_faults(class: usize, block_size: usize, radix: bool, faults: Faults) -> Self {
         PageLayer::new_hardened(
             class,
             block_size,
             radix,
-            faults,
+            Faults::none(),
             LinkKey::PLAIN,
             None,
             false,
         )
     }
 
-    /// As [`new_with_faults`](PageLayer::new_with_faults), with the
-    /// hardened profile's knobs: freelist links encoded under `key`,
-    /// fresh pages carved in an order shuffled from `shuffle_seed`, and
-    /// (`poison`) the free-poison pattern laid down at carve time.
+    /// The full constructor: wired to a fault-injection plan (consults
+    /// `page.get` and `page.coalesce`), with the hardened profile's knobs —
+    /// freelist links encoded under `key`, fresh pages carved in an order
+    /// shuffled from `shuffle_seed`, and (`poison`) the free-poison
+    /// pattern laid down at carve time.
     pub fn new_hardened(
         class: usize,
         block_size: usize,
@@ -1100,7 +1106,7 @@ mod tests {
             SpaceConfig::new(1 << 20).vmblk_shift(14).phys_pages(64),
         ));
         let vm = VmblkLayer::new(space, true);
-        let layer = PageLayer::new_with_faults(3, 512, true, faults);
+        let layer = PageLayer::new_hardened(3, 512, true, faults, LinkKey::PLAIN, None, false);
 
         // Entry (common-path) consult fires first; then a pass at the
         // entry lets the miss reach acquire_page, whose consult fires.
@@ -1133,7 +1139,7 @@ mod tests {
             SpaceConfig::new(1 << 20).vmblk_shift(14).phys_pages(64),
         ));
         let vm = VmblkLayer::new(space, true);
-        let layer = PageLayer::new_with_faults(3, 512, true, faults);
+        let layer = PageLayer::new_hardened(3, 512, true, faults, LinkKey::PLAIN, None, false);
 
         let chain = layer.alloc_chain(&vm, 8).unwrap();
         assert_eq!(chain.len(), 8);

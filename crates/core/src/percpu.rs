@@ -21,66 +21,71 @@ use kmem_smp::{ExclusionFlag, LocalCounter};
 
 use crate::block::LinkKey;
 use crate::chain::{Chain, ChainFault};
+use crate::counters::counters;
 
 /// Number of buckets in the cache-occupancy histogram: bucket `i` counts
 /// samples where the cache held between `i/8` and `(i+1)/8` of its
 /// `2 * target` capacity.
 pub const OCC_BUCKETS: usize = 8;
 
-/// Per-cache event counters, readable from other threads.
-///
-/// These live *outside* the cache's `UnsafeCell` (in the per-CPU slot) so
-/// that a statistics snapshot taken by another thread never aliases the
-/// owner's exclusive borrow of the cache itself. Every counter is a
-/// single-writer [`LocalCounter`]: only the owning CPU writes it, on its
-/// own cache-line-padded slot, so increments are plain load/store pairs —
-/// the "zero hot-path cost" telemetry the snapshot layer is built on.
-///
-/// The owner always bumps the access counter *before* the corresponding
-/// miss counter, and the miss counter before any refill/fail detail; the
-/// release-store/acquire-load pairing in [`LocalCounter`] then lets a
-/// concurrent snapshot that reads in the *reverse* order assert
-/// `miss <= access` on live samples (see `crate::snapshot`).
-#[derive(Default)]
-pub struct CacheStats {
-    /// Allocations served by this cache (including refills).
-    pub alloc: LocalCounter,
-    /// Allocations that needed a chain from the global layer.
-    pub alloc_miss: LocalCounter,
-    /// Allocation misses that found no memory anywhere (returned
-    /// `OutOfMemory` to the caller). `alloc - alloc_fail` is the number of
-    /// blocks actually handed out — the snapshot conservation checks rely
-    /// on this.
-    pub alloc_fail: LocalCounter,
-    /// Failed attempts inside [`crate::KmemArena`]'s `alloc_sleep`
-    /// retry loop. Each one is also counted in `alloc_fail` (the bump
-    /// happens first), so live readers that load `sleep_retries` before
-    /// `alloc_fail` can assert `sleep_retries <= alloc_fail`.
-    pub sleep_retries: LocalCounter,
-    /// Frees handled by this cache (including overflows).
-    pub free: LocalCounter,
-    /// Frees that pushed a chain back to the global layer.
-    pub free_miss: LocalCounter,
-    /// Replenishment chains installed from the layers below.
-    pub refill: LocalCounter,
-    /// Refill chains that arrived shorter than `target` — each one erodes
-    /// the paper's "at most one global access per `target` operations"
-    /// hysteresis, so the DLM experiment wants them visible.
-    pub refill_short: LocalCounter,
-    /// Total blocks received across all refills.
-    pub refill_blocks: LocalCounter,
-    /// Cache flushes requested through the public API (or CPU teardown).
-    pub flush_explicit: LocalCounter,
-    /// Cache flushes triggered by another CPU's drain request.
-    pub flush_drain: LocalCounter,
-    /// Cache flushes this CPU ran on its own low-memory retry path.
-    pub flush_lowmem: LocalCounter,
-    /// Total blocks evicted by flushes (flush counters above only count
-    /// flushes that actually evicted something).
-    pub flush_blocks: LocalCounter,
-    /// Cache-occupancy histogram: sampled every 64th allocation and at
-    /// every cold-path event, bucketed by fraction of `2 * target`.
-    pub occupancy: [LocalCounter; OCC_BUCKETS],
+counters! {
+    /// Counters of one (CPU, size-class) cache, as captured by a snapshot:
+    /// cumulative event counts since arena creation (subtract two captures
+    /// with [`CacheCounts::delta`] for a per-interval view).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheCounts {
+        /// Allocations presented to this cache (including refills).
+        counter alloc: u64,
+        /// Allocations that missed (needed a chain from the global layer).
+        counter alloc_miss: u64,
+        /// Allocation misses that found no memory anywhere (returned
+        /// `OutOfMemory`). `alloc - alloc_fail` is the number of blocks
+        /// actually handed out — the conservation checks rely on this.
+        counter alloc_fail: u64,
+        /// Failed attempts inside [`crate::KmemArena`]'s `alloc_sleep`
+        /// retry loop; each is also counted in `alloc_fail`, bumped first.
+        counter sleep_retries: u64,
+        /// Frees presented to this cache (including overflows).
+        counter free: u64,
+        /// Frees that overflowed a chain to the global layer.
+        counter free_miss: u64,
+        /// Replenishment chains installed from the layers below.
+        counter refill: u64,
+        /// Refill chains shorter than `target` — each one erodes the
+        /// paper's "at most one global access per `target` operations"
+        /// hysteresis, so the DLM experiment wants them visible.
+        counter refill_short: u64,
+        /// Blocks received across all refills.
+        counter refill_blocks: u64,
+        /// Flushes via the public API / CPU teardown (flush counters only
+        /// count flushes that evicted at least one block).
+        counter flush_explicit: u64,
+        /// Flushes honouring another CPU's drain request.
+        counter flush_drain: u64,
+        /// Flushes on this CPU's own low-memory retry path.
+        counter flush_lowmem: u64,
+        /// Blocks evicted by flushes.
+        counter flush_blocks: u64,
+        /// Cache-occupancy histogram, sampled every 64th allocation and at
+        /// every cold-path event: bucket `i` counts samples at occupancy
+        /// `[i/8, (i+1)/8)` of the `2 * target` capacity.
+        counter occupancy: [u64; OCC_BUCKETS],
+    }
+    /// Per-cache event counters, readable from other threads.
+    ///
+    /// These live *outside* the cache's `UnsafeCell` (in the per-CPU slot)
+    /// so that a statistics snapshot taken by another thread never aliases
+    /// the owner's exclusive borrow of the cache itself. Every counter is a
+    /// single-writer [`LocalCounter`]: only the owning CPU writes it, on its
+    /// own cache-line-padded slot, so increments are plain load/store pairs
+    /// — the "zero hot-path cost" telemetry the snapshot layer is built on.
+    ///
+    /// The rows stand in the owner's write order — the access counter
+    /// *before* the corresponding miss counter, the miss counter before any
+    /// refill/fail detail — and [`CacheCounts::read`] sweeps them backwards,
+    /// which is what lets a concurrent snapshot assert `miss <= access` on
+    /// live samples (the sweep order rule of [`crate::counters`]).
+    live struct CacheStats<LocalCounter>;
 }
 
 impl CacheStats {

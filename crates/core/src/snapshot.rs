@@ -9,6 +9,11 @@
 //! counters — no locks are taken, no CPU is interrupted, and the cost to
 //! the writers is zero.
 //!
+//! Every struct here is a field table ([`crate::counters`]): one row per
+//! counter, from which `delta`, `merge`, the JSON and the monotonicity
+//! check are derived. What stays by hand is semantics — the cross-counter
+//! invariants below.
+//!
 //! # Consistency model
 //!
 //! A snapshot taken while CPUs are running is a *live sample*: it is not a
@@ -25,131 +30,27 @@
 //!   safe on live samples; [`KmemSnapshot::check_quiescent`] adds the
 //!   equalities that only hold when no CPU is mid-operation.
 
-use crate::percpu::{CacheStats, OCC_BUCKETS};
+use crate::counters::{self, counters, Table as _};
+pub use crate::global::GlobalCounts;
+use crate::json::JsonObj;
+pub use crate::pagelayer::PageCounts;
+pub use crate::percpu::CacheCounts;
+use crate::percpu::OCC_BUCKETS;
 use crate::stats::{ClassStats, KmemStats, LayerCounts};
-use crate::{global::GlobalStats, pagelayer::PageLayerStats};
 
-/// Counters of one (CPU, size-class) cache, as captured by a snapshot.
-///
-/// All fields are cumulative event counts since arena creation; subtract
-/// two captures (via [`CacheCounts::delta`]) for a per-interval view.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounts {
-    /// Allocations presented to this cache.
-    pub alloc: u64,
-    /// Allocations that missed (needed the global layer).
-    pub alloc_miss: u64,
-    /// Allocation misses that returned `OutOfMemory`.
-    pub alloc_fail: u64,
-    /// Failed attempts inside `alloc_sleep` retry loops (each also counted
-    /// in `alloc_fail`).
-    pub sleep_retries: u64,
-    /// Frees presented to this cache.
-    pub free: u64,
-    /// Frees that overflowed a chain to the global layer.
-    pub free_miss: u64,
-    /// Replenishment chains installed.
-    pub refill: u64,
-    /// Refill chains shorter than `target`.
-    pub refill_short: u64,
-    /// Blocks received across all refills.
-    pub refill_blocks: u64,
-    /// Flushes via the public API / CPU teardown (only counted when they
-    /// evicted at least one block).
-    pub flush_explicit: u64,
-    /// Flushes honouring another CPU's drain request.
-    pub flush_drain: u64,
-    /// Flushes on this CPU's own low-memory retry path.
-    pub flush_lowmem: u64,
-    /// Blocks evicted by flushes.
-    pub flush_blocks: u64,
-    /// Cache-occupancy histogram: bucket `i` counts samples at occupancy
-    /// `[i/8, (i+1)/8)` of the `2 * target` capacity.
-    pub occupancy: [u64; OCC_BUCKETS],
+/// `Ok` when `ok` holds, else an error naming the struct and its values.
+fn ensure(ok: bool, what: &str, msg: &str, counts: &dyn core::fmt::Debug) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{what}: {msg} ({counts:?})"))
+    }
 }
 
 impl CacheCounts {
-    /// Sweeps one cache's counters.
-    ///
-    /// Detail counters are read *before* the totals that bound them
-    /// (reverse of the owner's write order) so the live-sample invariants
-    /// of [`KmemSnapshot::check_live`] hold by construction.
-    pub(crate) fn read(s: &CacheStats) -> CacheCounts {
-        let occupancy = core::array::from_fn(|i| s.occupancy[i].get());
-        let flush_blocks = s.flush_blocks.get();
-        let flush_lowmem = s.flush_lowmem.get();
-        let flush_drain = s.flush_drain.get();
-        let flush_explicit = s.flush_explicit.get();
-        let refill_blocks = s.refill_blocks.get();
-        let refill_short = s.refill_short.get();
-        let refill = s.refill.get();
-        let sleep_retries = s.sleep_retries.get();
-        let alloc_fail = s.alloc_fail.get();
-        let free_miss = s.free_miss.get();
-        let free = s.free.get();
-        let alloc_miss = s.alloc_miss.get();
-        let alloc = s.alloc.get();
-        CacheCounts {
-            alloc,
-            alloc_miss,
-            alloc_fail,
-            sleep_retries,
-            free,
-            free_miss,
-            refill,
-            refill_short,
-            refill_blocks,
-            flush_explicit,
-            flush_drain,
-            flush_lowmem,
-            flush_blocks,
-            occupancy,
-        }
-    }
-
-    /// Events between `earlier` and `self` (field-wise difference).
-    ///
-    /// Counters are monotone, so the difference is exact; `saturating_sub`
-    /// only guards against snapshots passed in the wrong order.
-    pub fn delta(&self, earlier: &CacheCounts) -> CacheCounts {
-        CacheCounts {
-            alloc: self.alloc.saturating_sub(earlier.alloc),
-            alloc_miss: self.alloc_miss.saturating_sub(earlier.alloc_miss),
-            alloc_fail: self.alloc_fail.saturating_sub(earlier.alloc_fail),
-            sleep_retries: self.sleep_retries.saturating_sub(earlier.sleep_retries),
-            free: self.free.saturating_sub(earlier.free),
-            free_miss: self.free_miss.saturating_sub(earlier.free_miss),
-            refill: self.refill.saturating_sub(earlier.refill),
-            refill_short: self.refill_short.saturating_sub(earlier.refill_short),
-            refill_blocks: self.refill_blocks.saturating_sub(earlier.refill_blocks),
-            flush_explicit: self.flush_explicit.saturating_sub(earlier.flush_explicit),
-            flush_drain: self.flush_drain.saturating_sub(earlier.flush_drain),
-            flush_lowmem: self.flush_lowmem.saturating_sub(earlier.flush_lowmem),
-            flush_blocks: self.flush_blocks.saturating_sub(earlier.flush_blocks),
-            occupancy: core::array::from_fn(|i| {
-                self.occupancy[i].saturating_sub(earlier.occupancy[i])
-            }),
-        }
-    }
-
     /// Field-wise accumulation (summing CPUs or classes).
     pub fn merge(&mut self, other: &CacheCounts) {
-        self.alloc += other.alloc;
-        self.alloc_miss += other.alloc_miss;
-        self.alloc_fail += other.alloc_fail;
-        self.sleep_retries += other.sleep_retries;
-        self.free += other.free;
-        self.free_miss += other.free_miss;
-        self.refill += other.refill;
-        self.refill_short += other.refill_short;
-        self.refill_blocks += other.refill_blocks;
-        self.flush_explicit += other.flush_explicit;
-        self.flush_drain += other.flush_drain;
-        self.flush_lowmem += other.flush_lowmem;
-        self.flush_blocks += other.flush_blocks;
-        for (acc, v) in self.occupancy.iter_mut().zip(other.occupancy) {
-            *acc += v;
-        }
+        counters::merge(self, other);
     }
 
     /// Allocations that actually handed out a block.
@@ -200,13 +101,7 @@ impl CacheCounts {
     }
 
     fn check_live(&self, what: &str) -> Result<(), String> {
-        let c = |ok: bool, msg: &str| {
-            if ok {
-                Ok(())
-            } else {
-                Err(format!("{what}: {msg} ({self:?})"))
-            }
-        };
+        let c = |ok, msg| ensure(ok, what, msg, self);
         c(self.alloc_miss <= self.alloc, "alloc_miss > alloc")?;
         c(self.free_miss <= self.free, "free_miss > free")?;
         c(
@@ -217,19 +112,12 @@ impl CacheCounts {
         c(
             self.sleep_retries <= self.alloc_fail,
             "sleep_retries > alloc_fail",
-        )?;
-        Ok(())
+        )
     }
 
     fn check_quiescent(&self, what: &str) -> Result<(), String> {
         self.check_live(what)?;
-        let c = |ok: bool, msg: &str| {
-            if ok {
-                Ok(())
-            } else {
-                Err(format!("{what}: {msg} ({self:?})"))
-            }
-        };
+        let c = |ok, msg| ensure(ok, what, msg, self);
         c(
             self.refill + self.alloc_fail == self.alloc_miss,
             "every quiescent miss must end in a refill or a failure",
@@ -241,152 +129,11 @@ impl CacheCounts {
         c(
             self.flushes() <= self.flush_blocks,
             "counted flushes that evicted nothing",
-        )?;
-        Ok(())
+        )
     }
-}
-
-/// Global-pool per-event detail for one class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GlobalCounts {
-    /// Chain requests (hits and misses); derived as
-    /// `get_fast + get_slow` from the same sweep.
-    pub get: u64,
-    /// Gets served entirely by the lock-free CAS pop.
-    pub get_fast: u64,
-    /// Gets that took the locked slow path.
-    pub get_slow: u64,
-    /// Gets first served from a ready `target`-sized chain.
-    pub get_chain_hits: u64,
-    /// Gets first served from the bucket list.
-    pub get_bucket_hits: u64,
-    /// Gets that returned fewer than `target` blocks.
-    pub get_short: u64,
-    /// Blocks missing from short gets, summed.
-    pub get_short_deficit: u64,
-    /// Gets that fell through to the coalesce-to-page layer.
-    pub get_miss: u64,
-    /// Chains returned by per-CPU caches; derived as
-    /// `put_fast + put_slow` from the same sweep.
-    pub put: u64,
-    /// Exact-`target` puts served entirely by the lock-free CAS push.
-    pub put_fast: u64,
-    /// Puts that took the locked slow path.
-    pub put_slow: u64,
-    /// Puts through the odd-sized bucket path.
-    pub put_odd: u64,
-    /// Puts that spilled to the coalesce-to-page layer.
-    pub put_miss: u64,
-    /// Spills forced by the pressure ladder (`spill_to`), counted apart
-    /// from `put_miss` so the latter stays bounded by `put`.
-    pub pressure_spills: u64,
-    /// Blocks spilled to the coalesce-to-page layer (all causes).
-    pub spill_blocks: u64,
-    /// Failed tag-CAS attempts on the lock-free chain stack (monotone;
-    /// zero without contention).
-    pub cas_retries: u64,
 }
 
 impl GlobalCounts {
-    /// Sweeps one class's shards (one per node) into a single merged view,
-    /// so per-class global counters keep their pre-NUMA meaning. Each
-    /// shard is swept with the order guarantees of [`GlobalCounts::read`],
-    /// and every derived partition (`get = get_fast + get_slow`, …) is a
-    /// sum of per-shard equalities, so it survives the merge.
-    pub(crate) fn read_merged<'a>(shards: impl Iterator<Item = &'a GlobalStats>) -> GlobalCounts {
-        let mut total = GlobalCounts::default();
-        for s in shards {
-            total.merge(&GlobalCounts::read(s));
-        }
-        total
-    }
-
-    /// Field-wise accumulation (summing shards or classes).
-    pub fn merge(&mut self, other: &GlobalCounts) {
-        self.get += other.get;
-        self.get_fast += other.get_fast;
-        self.get_slow += other.get_slow;
-        self.get_chain_hits += other.get_chain_hits;
-        self.get_bucket_hits += other.get_bucket_hits;
-        self.get_short += other.get_short;
-        self.get_short_deficit += other.get_short_deficit;
-        self.get_miss += other.get_miss;
-        self.put += other.put;
-        self.put_fast += other.put_fast;
-        self.put_slow += other.put_slow;
-        self.put_odd += other.put_odd;
-        self.put_miss += other.put_miss;
-        self.pressure_spills += other.pressure_spills;
-        self.spill_blocks += other.spill_blocks;
-        self.cas_retries += other.cas_retries;
-    }
-
-    pub(crate) fn read(s: &GlobalStats) -> GlobalCounts {
-        // Slow-path outcome details before the slow-entry counters that
-        // bound them (reverse of the writers' order), as for
-        // `CacheCounts::read`. The totals (`get`, `put`,
-        // `get_chain_hits`) are then *derived* from this single sweep —
-        // the pool keeps no total counters, so the lock-free fast path
-        // pays one RMW per operation — which makes the fast/slow
-        // partition an equality even on live samples.
-        let cas_retries = s.cas_retries.get();
-        let spill_blocks = s.spill_blocks.get();
-        let pressure_spills = s.pressure_spills.get();
-        let put_miss = s.put_miss.get();
-        let put_odd = s.put_odd.get();
-        let put_slow = s.put_slow.get();
-        let put_fast = s.put_fast.get();
-        let get_miss = s.get_miss.get();
-        let get_short = s.get_short.get();
-        let get_short_deficit = s.get_short_deficit.get();
-        let get_chain_hits_slow = s.get_chain_hits_slow.get();
-        let get_bucket_hits = s.get_bucket_hits.get();
-        let get_slow = s.get_slow.get();
-        let get_fast = s.get_fast.get();
-        GlobalCounts {
-            get: get_fast + get_slow,
-            get_fast,
-            get_slow,
-            get_chain_hits: get_fast + get_chain_hits_slow,
-            get_bucket_hits,
-            get_short,
-            get_short_deficit,
-            get_miss,
-            put: put_fast + put_slow,
-            put_fast,
-            put_slow,
-            put_odd,
-            put_miss,
-            pressure_spills,
-            spill_blocks,
-            cas_retries,
-        }
-    }
-
-    /// Events between `earlier` and `self`.
-    pub fn delta(&self, earlier: &GlobalCounts) -> GlobalCounts {
-        GlobalCounts {
-            get: self.get.saturating_sub(earlier.get),
-            get_fast: self.get_fast.saturating_sub(earlier.get_fast),
-            get_slow: self.get_slow.saturating_sub(earlier.get_slow),
-            get_chain_hits: self.get_chain_hits.saturating_sub(earlier.get_chain_hits),
-            get_bucket_hits: self.get_bucket_hits.saturating_sub(earlier.get_bucket_hits),
-            get_short: self.get_short.saturating_sub(earlier.get_short),
-            get_short_deficit: self
-                .get_short_deficit
-                .saturating_sub(earlier.get_short_deficit),
-            get_miss: self.get_miss.saturating_sub(earlier.get_miss),
-            put: self.put.saturating_sub(earlier.put),
-            put_fast: self.put_fast.saturating_sub(earlier.put_fast),
-            put_slow: self.put_slow.saturating_sub(earlier.put_slow),
-            put_odd: self.put_odd.saturating_sub(earlier.put_odd),
-            put_miss: self.put_miss.saturating_sub(earlier.put_miss),
-            pressure_spills: self.pressure_spills.saturating_sub(earlier.pressure_spills),
-            spill_blocks: self.spill_blocks.saturating_sub(earlier.spill_blocks),
-            cas_retries: self.cas_retries.saturating_sub(earlier.cas_retries),
-        }
-    }
-
     /// Global layer, allocation direction.
     pub fn alloc_layer(&self) -> LayerCounts {
         LayerCounts {
@@ -404,13 +151,7 @@ impl GlobalCounts {
     }
 
     fn check_live(&self, what: &str) -> Result<(), String> {
-        let c = |ok: bool, msg: &str| {
-            if ok {
-                Ok(())
-            } else {
-                Err(format!("{what}: {msg} ({self:?})"))
-            }
-        };
+        let c = |ok, msg| ensure(ok, what, msg, self);
         c(
             self.get_chain_hits + self.get_bucket_hits + self.get_miss <= self.get,
             "get outcomes exceed gets",
@@ -428,158 +169,91 @@ impl GlobalCounts {
             self.put_fast + self.put_slow <= self.put,
             "fast/slow puts exceed puts",
         )?;
-        c(self.put_miss <= self.put, "put_miss > put")?;
-        Ok(())
+        c(self.put_miss <= self.put, "put_miss > put")
     }
 
     fn check_quiescent(&self, what: &str) -> Result<(), String> {
         self.check_live(what)?;
-        if self.get_chain_hits + self.get_bucket_hits + self.get_miss != self.get {
-            return Err(format!(
-                "{what}: quiescent get outcomes must partition gets ({self:?})"
-            ));
-        }
-        if self.get_fast + self.get_slow != self.get {
-            return Err(format!(
-                "{what}: quiescent fast/slow gets must partition gets ({self:?})"
-            ));
-        }
-        if self.put_fast + self.put_slow != self.put {
-            return Err(format!(
-                "{what}: quiescent fast/slow puts must partition puts ({self:?})"
-            ));
-        }
-        Ok(())
+        let c = |ok, msg| ensure(ok, what, msg, self);
+        c(
+            self.get_chain_hits + self.get_bucket_hits + self.get_miss == self.get,
+            "quiescent get outcomes must partition gets",
+        )?;
+        c(
+            self.get_fast + self.get_slow == self.get,
+            "quiescent fast/slow gets must partition gets",
+        )?;
+        c(
+            self.put_fast + self.put_slow == self.put,
+            "quiescent fast/slow puts must partition puts",
+        )
     }
 }
 
-/// Per-node rollup: how one NUMA node's CPUs interacted with the sharded
-/// global layer, plus the node's current shard occupancy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeCounts {
-    /// Blocks currently held by this node's shards, summed over classes
-    /// (gauge; `delta` keeps the later value).
-    pub shard_blocks: usize,
-    /// Refill chains this node's CPUs took from their own shard.
-    pub local_refills: u64,
-    /// Refill chains this node's CPUs stole from a remote shard.
-    pub stolen_refills: u64,
-    /// Blocks this node's CPUs spilled past the global layer to the
-    /// (shared) coalesce-to-page layer — frames that may come back remote.
-    pub remote_spills: u64,
-}
-
-impl NodeCounts {
-    /// Events between `earlier` and `self`; the gauge keeps `self`.
-    pub fn delta(&self, earlier: &NodeCounts) -> NodeCounts {
-        NodeCounts {
-            shard_blocks: self.shard_blocks,
-            local_refills: self.local_refills.saturating_sub(earlier.local_refills),
-            stolen_refills: self.stolen_refills.saturating_sub(earlier.stolen_refills),
-            remote_spills: self.remote_spills.saturating_sub(earlier.remote_spills),
-        }
+counters! {
+    /// Per-node rollup: how one NUMA node's CPUs interacted with the
+    /// sharded global layer, plus the node's current shard occupancy.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NodeCounts {
+        /// Blocks currently held by this node's shards, summed over
+        /// classes.
+        gauge shard_blocks: usize,
+        /// Refill chains this node's CPUs took from their own shard.
+        counter local_refills: u64,
+        /// Refill chains this node's CPUs stole from a remote shard.
+        counter stolen_refills: u64,
+        /// Blocks this node's CPUs spilled past the global layer to the
+        /// (shared) coalesce-to-page layer — frames that may come back
+        /// remote.
+        counter remote_spills: u64,
     }
 }
 
-/// Coalesce-to-page counters for one class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageCounts {
-    /// Chain requests from the global layer.
-    pub refills: u64,
-    /// Refills that took a fresh page from the vmblk layer.
-    pub page_acquires: u64,
-    /// Pages fully drained and returned to the vmblk layer.
-    pub page_releases: u64,
-    /// Individual blocks pushed down from the global layer.
-    pub block_frees: u64,
-    /// Failed CAS attempts on the lock-free radix lists and per-page
-    /// freelists (contention indicator; zero when single-threaded).
-    pub cas_retries: u64,
-}
-
-impl PageCounts {
-    pub(crate) fn read(s: &PageLayerStats) -> PageCounts {
-        PageCounts {
-            // Read the retry counter first: retries precede the operation
-            // counters they belong to, so a live sample never shows an
-            // operation whose retries are still missing.
-            cas_retries: s.cas_retries.get(),
-            page_acquires: s.page_acquires.get(),
-            page_releases: s.page_releases.get(),
-            block_frees: s.block_frees.get(),
-            refills: s.refills.get(),
-        }
-    }
-
-    /// Events between `earlier` and `self`.
-    pub fn delta(&self, earlier: &PageCounts) -> PageCounts {
-        PageCounts {
-            refills: self.refills.saturating_sub(earlier.refills),
-            page_acquires: self.page_acquires.saturating_sub(earlier.page_acquires),
-            page_releases: self.page_releases.saturating_sub(earlier.page_releases),
-            block_frees: self.block_frees.saturating_sub(earlier.block_frees),
-            cas_retries: self.cas_retries.saturating_sub(earlier.cas_retries),
-        }
+counters! {
+    /// Maintenance-core counters: mailbox flow plus the epoch-batched
+    /// drain totals summed over every global shard. All zeros (with
+    /// `enabled: false`) when the arena runs without the core
+    /// ([`crate::config::MaintConfig`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MaintCounts {
+        /// Whether the arena was built with the maintenance core enabled.
+        gauge enabled: bool,
+        /// Work-item post attempts, including deduplicated ones.
+        counter posted: u64,
+        /// Posts suppressed because the same key was already queued.
+        counter deduped: u64,
+        /// Work items drained and run by the maintenance core. At
+        /// quiescence (mailbox empty, no poster mid-call)
+        /// `drained == posted - deduped`.
+        counter drained: u64,
+        /// Work items currently queued (racy while posters are active).
+        gauge backlog: usize,
+        /// Epoch-batched stack detaches across all global shards — each is
+        /// one tagged CAS, however many chains it moved.
+        counter batch_drains: u64,
+        /// Chains moved by those batched detaches.
+        counter batched_chains: u64,
     }
 }
 
-/// Maintenance-core counters: mailbox flow plus the epoch-batched drain
-/// totals summed over every global shard. All zeros (with
-/// `enabled: false`) when the arena runs without the core
-/// ([`crate::config::MaintConfig`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintCounts {
-    /// Whether the arena was built with the maintenance core enabled.
-    pub enabled: bool,
-    /// Work-item post attempts, including deduplicated ones.
-    pub posted: u64,
-    /// Posts suppressed because the same key was already queued.
-    pub deduped: u64,
-    /// Work items drained and run by the maintenance core. At quiescence
-    /// (mailbox empty, no poster mid-call) `drained == posted - deduped`.
-    pub drained: u64,
-    /// Work items currently queued (gauge; `delta` keeps the later
-    /// value; racy while posters are active).
-    pub backlog: usize,
-    /// Epoch-batched stack detaches across all global shards — each is
-    /// one tagged CAS, however many chains it moved.
-    pub batch_drains: u64,
-    /// Chains moved by those batched detaches.
-    pub batched_chains: u64,
-}
-
-impl MaintCounts {
-    /// Events between `earlier` and `self`; gauges and the enabled flag
-    /// keep the later (`self`) values.
-    pub fn delta(&self, earlier: &MaintCounts) -> MaintCounts {
-        MaintCounts {
-            enabled: self.enabled,
-            posted: self.posted.saturating_sub(earlier.posted),
-            deduped: self.deduped.saturating_sub(earlier.deduped),
-            drained: self.drained.saturating_sub(earlier.drained),
-            backlog: self.backlog,
-            batch_drains: self.batch_drains.saturating_sub(earlier.batch_drains),
-            batched_chains: self.batched_chains.saturating_sub(earlier.batched_chains),
-        }
+counters! {
+    /// Snapshot of one size class: per-CPU cache counters plus the shared
+    /// global-pool and page-layer counters.
+    #[derive(Debug, Clone)]
+    pub struct ClassSnapshot {
+        /// Block size of the class.
+        gauge size: usize,
+        /// The class's per-CPU `target` parameter.
+        gauge target: usize,
+        /// The class's global-layer `gbltarget` parameter.
+        gauge gbltarget: usize,
+        /// One entry per CPU, indexed by CPU number.
+        nested per_cpu: Vec<CacheCounts>,
+        /// Global pool detail.
+        nested global: GlobalCounts,
+        /// Coalesce-to-page detail.
+        nested page: PageCounts,
     }
-}
-
-/// Snapshot of one size class: per-CPU cache counters plus the shared
-/// global-pool and page-layer counters.
-#[derive(Debug, Clone)]
-pub struct ClassSnapshot {
-    /// Block size of the class.
-    pub size: usize,
-    /// The class's per-CPU `target` parameter.
-    pub target: usize,
-    /// The class's global-layer `gbltarget` parameter.
-    pub gbltarget: usize,
-    /// One entry per CPU, indexed by CPU number.
-    pub per_cpu: Vec<CacheCounts>,
-    /// Global pool detail.
-    pub global: GlobalCounts,
-    /// Coalesce-to-page detail.
-    pub page: PageCounts,
 }
 
 impl ClassSnapshot {
@@ -591,82 +265,65 @@ impl ClassSnapshot {
         }
         total
     }
-
-    fn delta(&self, earlier: &ClassSnapshot) -> ClassSnapshot {
-        assert_eq!(
-            self.per_cpu.len(),
-            earlier.per_cpu.len(),
-            "snapshots of different arenas"
-        );
-        ClassSnapshot {
-            size: self.size,
-            target: self.target,
-            gbltarget: self.gbltarget,
-            per_cpu: self
-                .per_cpu
-                .iter()
-                .zip(&earlier.per_cpu)
-                .map(|(now, then)| now.delta(then))
-                .collect(),
-            global: self.global.delta(&earlier.global),
-            page: self.page.delta(&earlier.page),
-        }
-    }
 }
 
-/// A full counter sweep of a [`crate::KmemArena`]: every (CPU, class)
-/// cache, every global pool, every page layer, plus arena-wide gauges.
-///
-/// Obtain one with [`crate::KmemArena::snapshot`]; see the module docs for
-/// the consistency model.
-#[derive(Debug, Clone)]
-pub struct KmemSnapshot {
-    /// One entry per size class, ascending by block size.
-    pub classes: Vec<ClassSnapshot>,
-    /// One entry per NUMA node, indexed by node number (a single entry on
-    /// the default flat topology).
-    pub nodes: Vec<NodeCounts>,
-    /// Large (multi-page) allocations served by the vmblk layer.
-    pub large_allocs: u64,
-    /// Large frees.
-    pub large_frees: u64,
-    /// Single-page allocations served from the vmblk layer's lock-free
-    /// page cache (no boundary-tag lock taken).
-    pub vmblk_cache_hits: u64,
-    /// Whole pages parked on the vmblk page cache by `free_span`.
-    pub vmblk_cache_puts: u64,
-    /// vmblks currently live (gauge; `delta` keeps the later value).
-    pub vmblks_live: usize,
-    /// Physical frames currently claimed (gauge).
-    pub phys_in_use: usize,
-    /// Physical frame capacity (gauge).
-    pub phys_capacity: usize,
-    /// Current pressure-ladder level, 0–3 (gauge).
-    pub pressure_level: u8,
-    /// `pressure_escalations[i]` counts entries into ladder rung `i + 1`.
-    pub pressure_escalations: [u64; 3],
-    /// De-escalation steps taken by the ladder (hysteresis-gated).
-    pub pressure_deescalations: u64,
-    /// Failed allocations that re-applied the ladder's deepest rung rather
-    /// than entering a new one.
-    pub pressure_reapplied: u64,
-    /// Failpoint consultations while a fault plan was armed.
-    pub fault_hits: u64,
-    /// Failpoint firings (injected failures).
-    pub fault_fired: u64,
-    /// Hardened-profile corruption detections reported, all sites
-    /// (always zero in the default profile).
-    pub corruption_reports: u64,
-    /// Poison-based detections: double free by intact poison, or a
-    /// use-after-free write caught by verify-on-alloc.
-    pub poison_hits: u64,
-    /// Encoded-link detections: an implausible decode sank a chain.
-    pub encode_faults: u64,
-    /// Blocks currently parked in double-free quarantine rings (gauge;
-    /// `delta` keeps the later value).
-    pub quarantine_len: usize,
-    /// Maintenance-core mailbox and batched-drain counters.
-    pub maint: MaintCounts,
+counters! {
+    /// A full counter sweep of a [`crate::KmemArena`]: every (CPU, class)
+    /// cache, every global pool, every page layer, plus arena-wide gauges.
+    ///
+    /// Obtain one with [`crate::KmemArena::snapshot`]; see the module docs
+    /// for the consistency model. [`KmemSnapshot::delta`] is exact per
+    /// (CPU, class): every event counted after the earlier sweep and
+    /// before this one appears in it exactly once.
+    #[derive(Debug, Clone)]
+    pub struct KmemSnapshot {
+        /// One entry per size class, ascending by block size.
+        nested classes: Vec<ClassSnapshot>,
+        /// One entry per NUMA node, indexed by node number (a single entry
+        /// on the default flat topology).
+        nested nodes: Vec<NodeCounts>,
+        /// Large (multi-page) allocations served by the vmblk layer.
+        counter large_allocs: u64,
+        /// Large frees.
+        counter large_frees: u64,
+        /// Single-page allocations served from the vmblk layer's lock-free
+        /// page cache (no boundary-tag lock taken).
+        counter vmblk_cache_hits: u64 => "vmblk_cache"."hits",
+        /// Whole pages parked on the vmblk page cache by `free_span`.
+        counter vmblk_cache_puts: u64 => "vmblk_cache"."puts",
+        /// vmblks currently live.
+        gauge vmblks_live: usize,
+        /// Physical frames currently claimed.
+        gauge phys_in_use: usize,
+        /// Physical frame capacity.
+        gauge phys_capacity: usize,
+        /// Current pressure-ladder level, 0–3.
+        gauge pressure_level: u8 => "pressure"."level",
+        /// `pressure_escalations[i]` counts entries into ladder rung
+        /// `i + 1`.
+        counter pressure_escalations: [u64; 3] => "pressure"."escalations",
+        /// De-escalation steps taken by the ladder (hysteresis-gated).
+        counter pressure_deescalations: u64 => "pressure"."deescalations",
+        /// Failed allocations that re-applied the ladder's deepest rung
+        /// rather than entering a new one.
+        counter pressure_reapplied: u64 => "pressure"."reapplied",
+        /// Failpoint consultations while a fault plan was armed.
+        counter fault_hits: u64 => "faults"."hits",
+        /// Failpoint firings (injected failures).
+        counter fault_fired: u64 => "faults"."fired",
+        /// Hardened-profile corruption detections reported, all sites
+        /// (always zero in the default profile).
+        counter corruption_reports: u64 => "hardened"."corruption_reports",
+        /// Poison-based detections: double free by intact poison, or a
+        /// use-after-free write caught by verify-on-alloc.
+        counter poison_hits: u64 => "hardened"."poison_hits",
+        /// Encoded-link detections: an implausible decode sank a chain.
+        counter encode_faults: u64 => "hardened"."encode_faults",
+        /// Blocks currently parked in double-free quarantine rings.
+        gauge quarantine_len: usize => "hardened"."quarantine_len",
+        /// Maintenance-core mailbox and batched-drain counters.
+        nested maint: MaintCounts,
+    }
 }
 
 impl KmemSnapshot {
@@ -708,80 +365,14 @@ impl KmemSnapshot {
         totals
     }
 
-    /// Events between `earlier` and `self`, per (CPU, class); gauges keep
-    /// the later (`self`) values. The difference is exact: every event
-    /// counted after the `earlier` sweep and before this one appears in
-    /// the delta exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshots come from arenas of different shape.
-    pub fn delta(&self, earlier: &KmemSnapshot) -> KmemSnapshot {
-        assert_eq!(
-            self.classes.len(),
-            earlier.classes.len(),
-            "snapshots of different arenas"
-        );
-        KmemSnapshot {
-            classes: self
-                .classes
-                .iter()
-                .zip(&earlier.classes)
-                .map(|(now, then)| now.delta(then))
-                .collect(),
-            nodes: self
-                .nodes
-                .iter()
-                .zip(&earlier.nodes)
-                .map(|(now, then)| now.delta(then))
-                .collect(),
-            large_allocs: self.large_allocs.saturating_sub(earlier.large_allocs),
-            large_frees: self.large_frees.saturating_sub(earlier.large_frees),
-            vmblk_cache_hits: self
-                .vmblk_cache_hits
-                .saturating_sub(earlier.vmblk_cache_hits),
-            vmblk_cache_puts: self
-                .vmblk_cache_puts
-                .saturating_sub(earlier.vmblk_cache_puts),
-            vmblks_live: self.vmblks_live,
-            phys_in_use: self.phys_in_use,
-            phys_capacity: self.phys_capacity,
-            pressure_level: self.pressure_level,
-            pressure_escalations: core::array::from_fn(|i| {
-                self.pressure_escalations[i].saturating_sub(earlier.pressure_escalations[i])
-            }),
-            pressure_deescalations: self
-                .pressure_deescalations
-                .saturating_sub(earlier.pressure_deescalations),
-            pressure_reapplied: self
-                .pressure_reapplied
-                .saturating_sub(earlier.pressure_reapplied),
-            fault_hits: self.fault_hits.saturating_sub(earlier.fault_hits),
-            fault_fired: self.fault_fired.saturating_sub(earlier.fault_fired),
-            corruption_reports: self
-                .corruption_reports
-                .saturating_sub(earlier.corruption_reports),
-            poison_hits: self.poison_hits.saturating_sub(earlier.poison_hits),
-            encode_faults: self.encode_faults.saturating_sub(earlier.encode_faults),
-            quarantine_len: self.quarantine_len,
-            maint: self.maint.delta(&earlier.maint),
-        }
-    }
-
     /// Total allocations across classes and CPUs (cache-layer accesses).
     pub fn total_allocs(&self) -> u64 {
-        self.classes
-            .iter()
-            .map(|c| c.per_cpu.iter().map(|p| p.alloc).sum::<u64>())
-            .sum()
+        self.iter_cpu_class().map(|(_, _, c)| c.alloc).sum()
     }
 
     /// Total frees across classes and CPUs.
     pub fn total_frees(&self) -> u64 {
-        self.classes
-            .iter()
-            .map(|c| c.per_cpu.iter().map(|p| p.free).sum::<u64>())
-            .sum()
+        self.iter_cpu_class().map(|(_, _, c)| c.free).sum()
     }
 
     /// Rolls the snapshot up into the CPU-summed [`KmemStats`] shape the
@@ -812,362 +403,68 @@ impl KmemSnapshot {
         }
     }
 
-    /// Renders the snapshot as a single-line JSON object (hand-rolled —
-    /// the workspace is hermetic, so no serde). Field names match the Rust
-    /// field names; all values are numbers or arrays of numbers, so the
-    /// output needs no string escaping.
+    /// Renders the snapshot as a single-line JSON object. Keys are the
+    /// rows' JSON names (the Rust field names, a few grouped under
+    /// `vmblk_cache`, `pressure`, `faults` and `hardened`); all values are
+    /// numbers, flags or arrays of numbers.
     pub fn to_json(&self) -> String {
-        use core::fmt::Write as _;
+        let mut o = JsonObj::new();
+        self.emit_rows(&mut o);
+        o.finish()
+    }
 
-        fn arr(out: &mut String, vals: &[u64]) {
-            out.push('[');
-            for (i, v) in vals.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
+    /// Runs `cache` on every (CPU, class) cache and `global` on every
+    /// class's global pool, each with a label for error messages.
+    fn check_each(
+        &self,
+        cache: fn(&CacheCounts, &str) -> Result<(), String>,
+        global: fn(&GlobalCounts, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        for (class, cs) in self.classes.iter().enumerate() {
+            for (cpu, counts) in cs.per_cpu.iter().enumerate() {
+                cache(
+                    counts,
+                    &format!("class {class} (size {}) cpu {cpu}", cs.size),
+                )?;
             }
-            out.push(']');
+            global(
+                &cs.global,
+                &format!("class {class} (size {}) global", cs.size),
+            )?;
         }
-
-        fn cache(out: &mut String, c: &CacheCounts) {
-            let _ = write!(
-                out,
-                "{{\"alloc\":{},\"alloc_miss\":{},\"alloc_fail\":{},\"sleep_retries\":{},\
-                 \"free\":{},\"free_miss\":{},\"refill\":{},\"refill_short\":{},\
-                 \"refill_blocks\":{},\"flush_explicit\":{},\"flush_drain\":{},\
-                 \"flush_lowmem\":{},\"flush_blocks\":{},\"occupancy\":",
-                c.alloc,
-                c.alloc_miss,
-                c.alloc_fail,
-                c.sleep_retries,
-                c.free,
-                c.free_miss,
-                c.refill,
-                c.refill_short,
-                c.refill_blocks,
-                c.flush_explicit,
-                c.flush_drain,
-                c.flush_lowmem,
-                c.flush_blocks,
-            );
-            arr(out, &c.occupancy);
-            out.push('}');
-        }
-
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"classes\":[");
-        for (i, cs) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"size\":{},\"target\":{},\"gbltarget\":{},\"per_cpu\":[",
-                cs.size, cs.target, cs.gbltarget
-            );
-            for (cpu, c) in cs.per_cpu.iter().enumerate() {
-                if cpu > 0 {
-                    out.push(',');
-                }
-                cache(&mut out, c);
-            }
-            let g = &cs.global;
-            let _ = write!(
-                out,
-                "],\"global\":{{\"get\":{},\"get_fast\":{},\"get_slow\":{},\
-                 \"get_chain_hits\":{},\"get_bucket_hits\":{},\
-                 \"get_short\":{},\"get_short_deficit\":{},\"get_miss\":{},\"put\":{},\
-                 \"put_fast\":{},\"put_slow\":{},\"put_odd\":{},\"put_miss\":{},\
-                 \"pressure_spills\":{},\"spill_blocks\":{},\"cas_retries\":{}}}",
-                g.get,
-                g.get_fast,
-                g.get_slow,
-                g.get_chain_hits,
-                g.get_bucket_hits,
-                g.get_short,
-                g.get_short_deficit,
-                g.get_miss,
-                g.put,
-                g.put_fast,
-                g.put_slow,
-                g.put_odd,
-                g.put_miss,
-                g.pressure_spills,
-                g.spill_blocks,
-                g.cas_retries,
-            );
-            let p = &cs.page;
-            let _ = write!(
-                out,
-                ",\"page\":{{\"refills\":{},\"page_acquires\":{},\"page_releases\":{},\
-                 \"block_frees\":{},\"cas_retries\":{}}}}}",
-                p.refills, p.page_acquires, p.page_releases, p.block_frees, p.cas_retries,
-            );
-        }
-        out.push_str("],\"nodes\":[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"shard_blocks\":{},\"local_refills\":{},\"stolen_refills\":{},\
-                 \"remote_spills\":{}}}",
-                n.shard_blocks, n.local_refills, n.stolen_refills, n.remote_spills,
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"large_allocs\":{},\"large_frees\":{},\"vmblk_cache\":{{\"hits\":{},\
-             \"puts\":{}}},\"vmblks_live\":{},\"phys_in_use\":{},\
-             \"phys_capacity\":{},\"pressure\":{{\"level\":{},\"escalations\":",
-            self.large_allocs,
-            self.large_frees,
-            self.vmblk_cache_hits,
-            self.vmblk_cache_puts,
-            self.vmblks_live,
-            self.phys_in_use,
-            self.phys_capacity,
-            self.pressure_level,
-        );
-        arr(&mut out, &self.pressure_escalations);
-        let _ = write!(
-            out,
-            ",\"deescalations\":{},\"reapplied\":{}}},\"faults\":{{\"hits\":{},\"fired\":{}}},\
-             \"hardened\":{{\"corruption_reports\":{},\"poison_hits\":{},\"encode_faults\":{},\
-             \"quarantine_len\":{}}},\"maint\":{{\"enabled\":{},\"posted\":{},\"deduped\":{},\
-             \"drained\":{},\"backlog\":{},\"batch_drains\":{},\"batched_chains\":{}}}}}",
-            self.pressure_deescalations,
-            self.pressure_reapplied,
-            self.fault_hits,
-            self.fault_fired,
-            self.corruption_reports,
-            self.poison_hits,
-            self.encode_faults,
-            self.quarantine_len,
-            self.maint.enabled,
-            self.maint.posted,
-            self.maint.deduped,
-            self.maint.drained,
-            self.maint.backlog,
-            self.maint.batch_drains,
-            self.maint.batched_chains,
-        );
-        out
+        Ok(())
     }
 
     /// Checks every invariant that holds even on a live, unsynchronized
     /// sample: per-(CPU, class) `miss <= access` bounds, refill/fail
     /// accounting, and global-pool outcome bounds.
     pub fn check_live(&self) -> Result<(), String> {
-        for (class, cs) in self.classes.iter().enumerate() {
-            for (cpu, counts) in cs.per_cpu.iter().enumerate() {
-                counts.check_live(&format!("class {class} (size {}) cpu {cpu}", cs.size))?;
-            }
-            cs.global
-                .check_live(&format!("class {class} (size {}) global", cs.size))?;
-        }
-        Ok(())
+        self.check_each(CacheCounts::check_live, GlobalCounts::check_live)
     }
 
     /// Checks the live invariants plus the exact-accounting equalities
     /// that hold only when no CPU is mid-operation (torture checkpoints,
     /// post-join assertions).
     pub fn check_quiescent(&self) -> Result<(), String> {
-        for (class, cs) in self.classes.iter().enumerate() {
-            for (cpu, counts) in cs.per_cpu.iter().enumerate() {
-                counts.check_quiescent(&format!("class {class} (size {}) cpu {cpu}", cs.size))?;
-            }
-            cs.global
-                .check_quiescent(&format!("class {class} (size {}) global", cs.size))?;
-        }
-        Ok(())
+        self.check_each(CacheCounts::check_quiescent, GlobalCounts::check_quiescent)
     }
 
     /// Verifies that every counter in `self` is `>=` its counterpart in
     /// `earlier` — the property `delta` exactness rests on. Returns the
     /// first offending counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshots come from arenas of different shape.
     pub fn check_monotone_since(&self, earlier: &KmemSnapshot) -> Result<(), String> {
-        assert_eq!(self.classes.len(), earlier.classes.len());
-        fn mono(what: String, now: u64, then: u64) -> Result<(), String> {
-            if now >= then {
-                Ok(())
-            } else {
-                Err(format!("{what} went backwards: {then} -> {now}"))
-            }
-        }
-        for (class, (now, then)) in self.classes.iter().zip(&earlier.classes).enumerate() {
-            for (cpu, (n, t)) in now.per_cpu.iter().zip(&then.per_cpu).enumerate() {
-                let w = |f: &str| format!("class {class} cpu {cpu} {f}");
-                mono(w("alloc"), n.alloc, t.alloc)?;
-                mono(w("alloc_miss"), n.alloc_miss, t.alloc_miss)?;
-                mono(w("alloc_fail"), n.alloc_fail, t.alloc_fail)?;
-                mono(w("sleep_retries"), n.sleep_retries, t.sleep_retries)?;
-                mono(w("free"), n.free, t.free)?;
-                mono(w("free_miss"), n.free_miss, t.free_miss)?;
-                mono(w("refill"), n.refill, t.refill)?;
-                mono(w("refill_short"), n.refill_short, t.refill_short)?;
-                mono(w("refill_blocks"), n.refill_blocks, t.refill_blocks)?;
-                mono(w("flush_explicit"), n.flush_explicit, t.flush_explicit)?;
-                mono(w("flush_drain"), n.flush_drain, t.flush_drain)?;
-                mono(w("flush_lowmem"), n.flush_lowmem, t.flush_lowmem)?;
-                mono(w("flush_blocks"), n.flush_blocks, t.flush_blocks)?;
-                for i in 0..OCC_BUCKETS {
-                    mono(
-                        w(&format!("occupancy[{i}]")),
-                        n.occupancy[i],
-                        t.occupancy[i],
-                    )?;
-                }
-            }
-            let w = |f: &str| format!("class {class} global {f}");
-            mono(w("get"), now.global.get, then.global.get)?;
-            mono(w("get_fast"), now.global.get_fast, then.global.get_fast)?;
-            mono(w("get_slow"), now.global.get_slow, then.global.get_slow)?;
-            mono(
-                w("get_chain_hits"),
-                now.global.get_chain_hits,
-                then.global.get_chain_hits,
-            )?;
-            mono(
-                w("get_bucket_hits"),
-                now.global.get_bucket_hits,
-                then.global.get_bucket_hits,
-            )?;
-            mono(w("get_short"), now.global.get_short, then.global.get_short)?;
-            mono(
-                w("get_short_deficit"),
-                now.global.get_short_deficit,
-                then.global.get_short_deficit,
-            )?;
-            mono(w("get_miss"), now.global.get_miss, then.global.get_miss)?;
-            mono(w("put"), now.global.put, then.global.put)?;
-            mono(w("put_fast"), now.global.put_fast, then.global.put_fast)?;
-            mono(w("put_slow"), now.global.put_slow, then.global.put_slow)?;
-            mono(w("put_odd"), now.global.put_odd, then.global.put_odd)?;
-            mono(w("put_miss"), now.global.put_miss, then.global.put_miss)?;
-            mono(
-                w("pressure_spills"),
-                now.global.pressure_spills,
-                then.global.pressure_spills,
-            )?;
-            mono(
-                w("spill_blocks"),
-                now.global.spill_blocks,
-                then.global.spill_blocks,
-            )?;
-            mono(
-                w("cas_retries"),
-                now.global.cas_retries,
-                then.global.cas_retries,
-            )?;
-            mono(w("page refills"), now.page.refills, then.page.refills)?;
-            mono(
-                w("page acquires"),
-                now.page.page_acquires,
-                then.page.page_acquires,
-            )?;
-            mono(
-                w("page releases"),
-                now.page.page_releases,
-                then.page.page_releases,
-            )?;
-            mono(
-                w("page block_frees"),
-                now.page.block_frees,
-                then.page.block_frees,
-            )?;
-            mono(
-                w("page cas_retries"),
-                now.page.cas_retries,
-                then.page.cas_retries,
-            )?;
-        }
-        for (node, (now, then)) in self.nodes.iter().zip(&earlier.nodes).enumerate() {
-            let w = |f: &str| format!("node {node} {f}");
-            mono(w("local_refills"), now.local_refills, then.local_refills)?;
-            mono(w("stolen_refills"), now.stolen_refills, then.stolen_refills)?;
-            mono(w("remote_spills"), now.remote_spills, then.remote_spills)?;
-        }
-        mono(
-            "large_allocs".into(),
-            self.large_allocs,
-            earlier.large_allocs,
-        )?;
-        mono("large_frees".into(), self.large_frees, earlier.large_frees)?;
-        mono(
-            "vmblk_cache_hits".into(),
-            self.vmblk_cache_hits,
-            earlier.vmblk_cache_hits,
-        )?;
-        mono(
-            "vmblk_cache_puts".into(),
-            self.vmblk_cache_puts,
-            earlier.vmblk_cache_puts,
-        )?;
-        for i in 0..3 {
-            mono(
-                format!("pressure_escalations[{i}]"),
-                self.pressure_escalations[i],
-                earlier.pressure_escalations[i],
-            )?;
-        }
-        mono(
-            "pressure_deescalations".into(),
-            self.pressure_deescalations,
-            earlier.pressure_deescalations,
-        )?;
-        mono(
-            "pressure_reapplied".into(),
-            self.pressure_reapplied,
-            earlier.pressure_reapplied,
-        )?;
-        mono("fault_hits".into(), self.fault_hits, earlier.fault_hits)?;
-        mono("fault_fired".into(), self.fault_fired, earlier.fault_fired)?;
-        mono(
-            "corruption_reports".into(),
-            self.corruption_reports,
-            earlier.corruption_reports,
-        )?;
-        mono("poison_hits".into(), self.poison_hits, earlier.poison_hits)?;
-        mono(
-            "encode_faults".into(),
-            self.encode_faults,
-            earlier.encode_faults,
-        )?;
-        mono(
-            "maint posted".into(),
-            self.maint.posted,
-            earlier.maint.posted,
-        )?;
-        mono(
-            "maint deduped".into(),
-            self.maint.deduped,
-            earlier.maint.deduped,
-        )?;
-        mono(
-            "maint drained".into(),
-            self.maint.drained,
-            earlier.maint.drained,
-        )?;
-        mono(
-            "maint batch_drains".into(),
-            self.maint.batch_drains,
-            earlier.maint.batch_drains,
-        )?;
-        mono(
-            "maint batched_chains".into(),
-            self.maint.batched_chains,
-            earlier.maint.batched_chains,
-        )?;
-        Ok(())
+        counters::check_monotone(self, earlier)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Kind;
 
     fn counts(alloc: u64, miss: u64, free: u64) -> CacheCounts {
         CacheCounts {
@@ -1328,5 +625,261 @@ mod tests {
         assert_eq!(agg.classes[0].cpu_alloc.misses, 3);
         assert_eq!(agg.classes[0].cpu_free.accesses, 8);
         assert_eq!(agg.total_allocs(), 14);
+    }
+
+    /// Hands out 1, 2, 3, …: every field of the golden snapshot differs.
+    struct Seq(u64);
+
+    impl Seq {
+        fn next(&mut self) -> u64 {
+            self.0 += 1;
+            self.0
+        }
+    }
+
+    fn golden_cache(s: &mut Seq) -> CacheCounts {
+        CacheCounts {
+            alloc: s.next(),
+            alloc_miss: s.next(),
+            alloc_fail: s.next(),
+            sleep_retries: s.next(),
+            free: s.next(),
+            free_miss: s.next(),
+            refill: s.next(),
+            refill_short: s.next(),
+            refill_blocks: s.next(),
+            flush_explicit: s.next(),
+            flush_drain: s.next(),
+            flush_lowmem: s.next(),
+            flush_blocks: s.next(),
+            occupancy: core::array::from_fn(|_| s.next()),
+        }
+    }
+
+    fn golden_class(s: &mut Seq) -> ClassSnapshot {
+        ClassSnapshot {
+            size: s.next() as usize,
+            target: s.next() as usize,
+            gbltarget: s.next() as usize,
+            per_cpu: vec![golden_cache(s), golden_cache(s)],
+            global: GlobalCounts {
+                get: s.next(),
+                get_fast: s.next(),
+                get_slow: s.next(),
+                get_chain_hits: s.next(),
+                get_bucket_hits: s.next(),
+                get_short: s.next(),
+                get_short_deficit: s.next(),
+                get_miss: s.next(),
+                put: s.next(),
+                put_fast: s.next(),
+                put_slow: s.next(),
+                put_odd: s.next(),
+                put_miss: s.next(),
+                pressure_spills: s.next(),
+                spill_blocks: s.next(),
+                cas_retries: s.next(),
+            },
+            page: PageCounts {
+                refills: s.next(),
+                page_acquires: s.next(),
+                page_releases: s.next(),
+                block_frees: s.next(),
+                cas_retries: s.next(),
+            },
+        }
+    }
+
+    fn golden_node(s: &mut Seq) -> NodeCounts {
+        NodeCounts {
+            shard_blocks: s.next() as usize,
+            local_refills: s.next(),
+            stolen_refills: s.next(),
+            remote_spills: s.next(),
+        }
+    }
+
+    /// 2 classes × 2 CPUs × 2 nodes, maintenance core on, no two fields
+    /// equal.
+    fn golden_snapshot() -> KmemSnapshot {
+        let s = &mut Seq(0);
+        KmemSnapshot {
+            classes: vec![golden_class(s), golden_class(s)],
+            nodes: vec![golden_node(s), golden_node(s)],
+            large_allocs: s.next(),
+            large_frees: s.next(),
+            vmblk_cache_hits: s.next(),
+            vmblk_cache_puts: s.next(),
+            vmblks_live: s.next() as usize,
+            phys_in_use: s.next() as usize,
+            phys_capacity: s.next() as usize,
+            pressure_level: s.next() as u8,
+            pressure_escalations: core::array::from_fn(|_| s.next()),
+            pressure_deescalations: s.next(),
+            pressure_reapplied: s.next(),
+            fault_hits: s.next(),
+            fault_fired: s.next(),
+            corruption_reports: s.next(),
+            poison_hits: s.next(),
+            encode_faults: s.next(),
+            quarantine_len: s.next() as usize,
+            maint: MaintCounts {
+                enabled: true,
+                posted: s.next(),
+                deduped: s.next(),
+                drained: s.next(),
+                backlog: s.next() as usize,
+                batch_drains: s.next(),
+                batched_chains: s.next(),
+            },
+        }
+    }
+
+    /// Rendered by the hand-written `to_json` this table-driven one
+    /// replaced: same keys, nesting and order, byte for byte.
+    #[test]
+    fn golden_json_is_byte_identical_to_the_hand_written_emitter() {
+        assert_eq!(
+            golden_snapshot().to_json(),
+            "\
+             {\"classes\":[{\"size\":1,\"target\":2,\"gbltarget\":3,\
+             \"per_cpu\":[{\"alloc\":4,\"alloc_miss\":5,\"alloc_fail\":6,\
+             \"sleep_retries\":7,\"free\":8,\"free_miss\":9,\"refill\":10,\
+             \"refill_short\":11,\"refill_blocks\":12,\"flush_explicit\":13,\
+             \"flush_drain\":14,\"flush_lowmem\":15,\"flush_blocks\":16,\"occupancy\":[17,\
+             18,19,20,21,22,23,24]},{\"alloc\":25,\"alloc_miss\":26,\"alloc_fail\":27,\
+             \"sleep_retries\":28,\"free\":29,\"free_miss\":30,\"refill\":31,\
+             \"refill_short\":32,\"refill_blocks\":33,\"flush_explicit\":34,\
+             \"flush_drain\":35,\"flush_lowmem\":36,\"flush_blocks\":37,\"occupancy\":[38,\
+             39,40,41,42,43,44,45]}],\"global\":{\"get\":46,\"get_fast\":47,\
+             \"get_slow\":48,\"get_chain_hits\":49,\"get_bucket_hits\":50,\"get_short\":51,\
+             \"get_short_deficit\":52,\"get_miss\":53,\"put\":54,\"put_fast\":55,\
+             \"put_slow\":56,\"put_odd\":57,\"put_miss\":58,\"pressure_spills\":59,\
+             \"spill_blocks\":60,\"cas_retries\":61},\"page\":{\"refills\":62,\
+             \"page_acquires\":63,\"page_releases\":64,\"block_frees\":65,\
+             \"cas_retries\":66}},{\"size\":67,\"target\":68,\"gbltarget\":69,\
+             \"per_cpu\":[{\"alloc\":70,\"alloc_miss\":71,\"alloc_fail\":72,\
+             \"sleep_retries\":73,\"free\":74,\"free_miss\":75,\"refill\":76,\
+             \"refill_short\":77,\"refill_blocks\":78,\"flush_explicit\":79,\
+             \"flush_drain\":80,\"flush_lowmem\":81,\"flush_blocks\":82,\"occupancy\":[83,\
+             84,85,86,87,88,89,90]},{\"alloc\":91,\"alloc_miss\":92,\"alloc_fail\":93,\
+             \"sleep_retries\":94,\"free\":95,\"free_miss\":96,\"refill\":97,\
+             \"refill_short\":98,\"refill_blocks\":99,\"flush_explicit\":100,\
+             \"flush_drain\":101,\"flush_lowmem\":102,\"flush_blocks\":103,\
+             \"occupancy\":[104,105,106,107,108,109,110,111]}],\"global\":{\"get\":112,\
+             \"get_fast\":113,\"get_slow\":114,\"get_chain_hits\":115,\
+             \"get_bucket_hits\":116,\"get_short\":117,\"get_short_deficit\":118,\
+             \"get_miss\":119,\"put\":120,\"put_fast\":121,\"put_slow\":122,\
+             \"put_odd\":123,\"put_miss\":124,\"pressure_spills\":125,\"spill_blocks\":126,\
+             \"cas_retries\":127},\"page\":{\"refills\":128,\"page_acquires\":129,\
+             \"page_releases\":130,\"block_frees\":131,\"cas_retries\":132}}],\
+             \"nodes\":[{\"shard_blocks\":133,\"local_refills\":134,\"stolen_refills\":135,\
+             \"remote_spills\":136},{\"shard_blocks\":137,\"local_refills\":138,\
+             \"stolen_refills\":139,\"remote_spills\":140}],\"large_allocs\":141,\
+             \"large_frees\":142,\"vmblk_cache\":{\"hits\":143,\"puts\":144},\
+             \"vmblks_live\":145,\"phys_in_use\":146,\"phys_capacity\":147,\
+             \"pressure\":{\"level\":148,\"escalations\":[149,150,151],\
+             \"deescalations\":152,\"reapplied\":153},\"faults\":{\"hits\":154,\
+             \"fired\":155},\"hardened\":{\"corruption_reports\":156,\"poison_hits\":157,\
+             \"encode_faults\":158,\"quarantine_len\":159},\"maint\":{\"enabled\":true,\
+             \"posted\":160,\"deduped\":161,\"drained\":162,\"backlog\":163,\
+             \"batch_drains\":164,\"batched_chains\":165}}"
+        );
+    }
+
+    /// Every cell of every table, as `(path, kind, value)` in walk order.
+    fn cells(s: &KmemSnapshot) -> Vec<(String, Kind, u64)> {
+        let mut cells = Vec::new();
+        counters::walk(s, s, &mut |cx, v, _| {
+            cells.push((cx.path(), cx.kind, v));
+            v
+        });
+        cells
+    }
+
+    /// `s` with its `k`-th cell (in walk order) set to `v`.
+    fn poke(s: &KmemSnapshot, k: usize, v: u64) -> KmemSnapshot {
+        let mut at = 0;
+        counters::walk(s, s, &mut |_, was, _| {
+            at += 1;
+            if at - 1 == k {
+                v
+            } else {
+                was
+            }
+        })
+    }
+
+    /// One loop over every row of every table: a counter added later is
+    /// covered without touching this test.
+    #[test]
+    fn every_row_of_every_table_reaches_delta_merge_json_and_monotone() {
+        // No golden value reaches 201, so its digits appear in the JSON
+        // only through the cell under test.
+        const RAISED: u64 = 201;
+        let base = golden_snapshot();
+        let base_json = base.to_json();
+        assert!(!base_json.contains("201"));
+        let base_cells = cells(&base);
+        // The fixture numbers 165 cells; the `enabled` flag is the 166th.
+        assert_eq!(base_cells.len(), 166);
+        for (k, (what, kind, was)) in base_cells.iter().enumerate() {
+            // A flag cannot be raised; it (and the one gauge that reads
+            // 1) is lowered instead.
+            let to = if *was == 1 { 0 } else { RAISED };
+            let raised = poke(&base, k, to);
+            let json = raised.to_json();
+            assert_ne!(json, base_json, "{what} missing from the JSON");
+            assert!(to == 0 || json.contains("201"), "{what}: {json}");
+
+            let delta = cells(&raised.delta(&base))[k].2;
+            let mut sum = base.clone();
+            counters::merge(&mut sum, &raised);
+            let merged = cells(&sum)[k].2;
+            raised.check_monotone_since(&base).expect(what);
+            match kind {
+                Kind::Counter => {
+                    assert_eq!(delta, RAISED - was, "{what} in delta");
+                    assert_eq!(merged, was + RAISED, "{what} in merge");
+                    let err = base.check_monotone_since(&raised).expect_err(what);
+                    assert!(err.starts_with(&format!("{what} went backwards")), "{err}");
+                }
+                Kind::Gauge => {
+                    assert_eq!(delta, to, "gauge {what} keeps the later value");
+                    assert_eq!(merged, *was, "gauge {what} does not sum");
+                    base.check_monotone_since(&raised).expect(what);
+                }
+                Kind::Nested => unreachable!("{what}: cells belong to leaf rows"),
+            }
+        }
+        // Spot-check the paths the errors carry.
+        assert_eq!(base_cells[3].0, "classes[0].per_cpu[0].alloc");
+        assert_eq!(base_cells[165].0, "maint.batched_chains");
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshots of different arenas")]
+    fn delta_refuses_snapshots_with_different_node_counts() {
+        let (two, mut one) = (golden_snapshot(), golden_snapshot());
+        one.nodes.pop();
+        let _ = two.delta(&one);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshots of different arenas")]
+    fn monotone_check_refuses_snapshots_with_different_cpu_counts() {
+        let (two, mut one) = (golden_snapshot(), golden_snapshot());
+        for class in &mut one.classes {
+            class.per_cpu.pop();
+        }
+        let _ = two.check_monotone_since(&one);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshots of different arenas")]
+    fn monotone_check_refuses_snapshots_with_different_node_counts() {
+        let (two, mut one) = (golden_snapshot(), golden_snapshot());
+        one.nodes.pop();
+        let _ = two.check_monotone_since(&one);
     }
 }

@@ -4,16 +4,15 @@
 //! The workload is the pattern the global layer exists for (paper §3.2):
 //! every CPU repeatedly takes an intact `target`-sized chain and hands one
 //! back — pure CPU-to-CPU chain recycling. The Treiber-stack pool does it
-//! with one tag-CAS per direction; the baseline guards a `Vec<Chain>` with
-//! a [`SpinLock`]. Both run under the discrete-event engine, which prices
-//! every probe event (shared-line reads/writes, lock hand-offs, spin-bus
-//! interference), so the comparison is the simulated Figure-7 delta, not
-//! host wall time.
+//! with one tag-CAS per direction; the baseline ([`SpinPool`]) guards a
+//! `Vec<Chain>` with a spinlock. Both run under the discrete-event engine,
+//! which prices every probe event (shared-line reads/writes, lock
+//! hand-offs, spin-bus interference), so the comparison is the simulated
+//! Figure-7 delta, not host wall time.
 
-use kmem::chain::Chain;
 use kmem::global::GlobalPool;
+use kmem_baselines::spin::{backing, chain, discard, SpinPool};
 use kmem_sim::{SimConfig, Simulator};
-use kmem_smp::SpinLock;
 
 const NCPUS: usize = 25;
 const OPS: u64 = 400;
@@ -22,48 +21,11 @@ const SEED_CHAINS: usize = 8;
 /// Calibrated probe-free base cost of a get/put pair (cycles).
 const BASE: u64 = 60;
 
-/// Backing store of fake blocks with stable addresses.
-#[expect(clippy::vec_box)]
-fn backing(n: usize) -> Vec<Box<[u8; 32]>> {
-    (0..n).map(|_| Box::new([0u8; 32])).collect()
-}
-
-fn chain(store: &mut [Box<[u8; 32]>], range: core::ops::Range<usize>) -> Chain {
-    let mut c = Chain::new();
-    for b in &mut store[range] {
-        // SAFETY: fake blocks are owned and disjoint.
-        unsafe { c.push(b.as_mut_ptr()) };
-    }
-    c
-}
-
-fn discard(mut c: Chain) {
-    while c.pop().is_some() {}
-}
-
-/// The naive parallelization the paper argues against: one lock around
-/// the whole chain pool.
-struct SpinPool {
-    chains: SpinLock<Vec<Chain>>,
-}
-
-impl SpinPool {
-    fn get(&self) -> Option<Chain> {
-        self.chains.lock().pop()
-    }
-
-    fn put(&self, c: Chain) {
-        self.chains.lock().push(c);
-    }
-}
-
 #[test]
 fn lock_free_global_beats_spinlocked_pool_at_25_cpus() {
     // Spinlocked baseline.
     let mut store = backing(SEED_CHAINS * TARGET);
-    let spin = SpinPool {
-        chains: SpinLock::new(Vec::new()),
-    };
+    let spin = SpinPool::new(SEED_CHAINS * TARGET);
     for i in 0..SEED_CHAINS {
         spin.put(chain(&mut store, i * TARGET..(i + 1) * TARGET));
     }
@@ -72,9 +34,7 @@ fn lock_free_global_beats_spinlocked_pool_at_25_cpus() {
         spin.put(c);
         BASE
     });
-    for c in spin.chains.lock().drain(..) {
-        discard(c);
-    }
+    spin.drain();
 
     // Lock-free global pool, same seed, same op mix.
     let mut store = backing(SEED_CHAINS * TARGET);

@@ -13,6 +13,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use kmem::block::LinkKey;
 use kmem::chain::Chain;
 use kmem::global::GlobalPool;
 use kmem::{faults, FailPolicy, Faults};
@@ -84,7 +85,7 @@ fn put_odd_storm_regroups_exactly_and_conserves_blocks() {
     } else {
         Faults::none()
     };
-    let pool = GlobalPool::new_with_faults(TARGET, gbltarget, faults_handle.clone());
+    let pool = GlobalPool::new_hardened(TARGET, gbltarget, faults_handle.clone(), LinkKey::PLAIN);
     let mut blocks = Blocks::new(total_blocks);
     for _ in 0..seed_chains {
         assert!(pool.put_chain(blocks.chain(TARGET)).is_none());

@@ -16,6 +16,7 @@
 
 use std::collections::VecDeque;
 
+use kmem::block::LinkKey;
 use kmem::chain::Chain;
 use kmem::pagelayer::PageLayer;
 use kmem::vmblklayer::VmblkLayer;
@@ -80,7 +81,15 @@ fn ring_storm(block_size: usize, want: usize) {
         Faults::none()
     };
     let vm = VmblkLayer::new_with_cache(space(), true, faults_handle.clone());
-    let layer = PageLayer::new_with_faults(CLASS, block_size, true, faults_handle.clone());
+    let layer = PageLayer::new_hardened(
+        CLASS,
+        block_size,
+        true,
+        faults_handle.clone(),
+        LinkKey::PLAIN,
+        None,
+        false,
+    );
 
     const ARMED: [(&str, u64); 3] = [
         // Sparse injected misses: real traffic still dominates.

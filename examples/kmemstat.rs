@@ -32,8 +32,8 @@
 //! blocks spilled to the shared page layer.
 //!
 //! With `--json`, each tick emits the full cumulative snapshot as one JSON
-//! object per line (newline-delimited JSON, via the hand-rolled
-//! [`KmemSnapshot::to_json`] writer) instead of the delta table — ready to
+//! object per line (newline-delimited JSON, via
+//! [`KmemSnapshot::to_json`]) instead of the delta table — ready to
 //! pipe into `jq` or a time-series collector.
 //!
 //! Columns (all per interval):

@@ -46,8 +46,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy -p kmem-bench --all-targets --features bench-ext --offline \
     -- -D warnings
 
-echo "==> cargo build --release --offline"
+echo "==> cargo build --release --offline (workspace, then benchmark/)"
 cargo build --release --offline
+# The benchmark is a package of its own pinned to these crates by path: a
+# signature it relies on breaks here, in seconds, not after the torture
+# rounds.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test (workspace, offline)"
 cargo test -q --offline --workspace
@@ -140,5 +144,8 @@ echo "==> kmembench (benchmark/): unit tests + smoke runs, both modes"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke >/dev/null
 benchmark/run.sh --smoke --traced >/dev/null
+
+echo "==> core size (non-test lines; report only)"
+scripts/loc.sh
 
 echo "==> OK: all tier-1 checks passed"
