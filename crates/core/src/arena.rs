@@ -57,12 +57,18 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-CPU slot: one cache per size class plus the drain-request flag.
+/// One (CPU, class) record: the cache and its counters side by side, so a
+/// class index is one bound check and one base address.
+pub(crate) struct ClassSlot {
+    cache: UnsafeCell<CpuCache>,
+    /// Kept outside the `UnsafeCell` so statistics snapshots never alias
+    /// the owner's cache borrow.
+    stats: CacheStats,
+}
+
+/// Per-CPU slot: one record per size class plus the drain-request flag.
 pub(crate) struct CpuSlot {
-    caches: Box<[UnsafeCell<CpuCache>]>,
-    /// Hit/miss counters, one per class; kept outside the `UnsafeCell` so
-    /// statistics snapshots never alias the owner's cache borrow.
-    stats: Box<[CacheStats]>,
+    classes: Box<[ClassSlot]>,
     /// Multi-page blocks this CPU took from / returned to the vmblk layer
     /// (owner-written; snapshots sum them over CPUs).
     large_allocs: LocalCounter,
@@ -113,6 +119,9 @@ pub(crate) struct ArenaInner {
     pressure: PressureLadder,
     /// The hardened-profile knobs this arena runs with (DESIGN.md §12).
     hardened: HardenedConfig,
+    /// Whether the arena runs the plain profile: no hardened knob set,
+    /// split freelist.
+    plain: bool,
     /// Per-class blocks deliberately leaked after a corruption detection:
     /// a chain walk that hit an implausible link sinks the unreachable
     /// remainder, and verify-on-alloc refuses a block whose poison was
@@ -142,10 +151,10 @@ impl Drop for ArenaInner {
         // which is about to be released wholesale; abandon them so the
         // chain leak-detector does not fire.
         for (_, slot) in self.slots.iter() {
-            for cell in slot.caches.iter() {
+            for class in slot.classes.iter() {
                 // SAFETY: `drop` has `&mut self`: no CPU handle can exist
                 // (they hold an `Arc` keeping the arena alive).
-                let cache = unsafe { &mut *cell.get() };
+                let cache = unsafe { &mut *class.cache.get() };
                 cache.flush().forget();
             }
         }
@@ -244,22 +253,18 @@ impl KmemArena {
             })
             .collect();
         let slots = PerCpu::new(config.ncpus, |_| CpuSlot {
-            caches: config
+            classes: config
                 .classes
                 .iter()
-                .map(|c| {
-                    UnsafeCell::new(CpuCache::new_hardened(
+                .map(|c| ClassSlot {
+                    cache: UnsafeCell::new(CpuCache::new_hardened(
                         c.target,
                         config.split_freelist,
                         key,
                         hardened.quarantine,
-                    ))
+                    )),
+                    stats: CacheStats::default(),
                 })
-                .collect(),
-            stats: config
-                .classes
-                .iter()
-                .map(|_| CacheStats::default())
                 .collect(),
             large_allocs: LocalCounter::new(),
             large_frees: LocalCounter::new(),
@@ -290,6 +295,7 @@ impl KmemArena {
                 faults,
                 pressure: PressureLadder::new(config.pressure),
                 hardened,
+                plain: !hardened.any() && config.split_freelist,
                 sunk,
                 quarantined: AtomicUsize::new(0),
                 corruption_reports: EventCounter::new(),
@@ -338,6 +344,8 @@ impl KmemArena {
         CpuHandle {
             cpu,
             node: self.inner.topology.node_of(cpu),
+            slot: NonNull::from(self.inner.slots.get(cpu)),
+            plain: self.inner.plain,
             claim,
             inner: Arc::clone(&self.inner),
             _not_sync: PhantomData,
@@ -424,7 +432,7 @@ impl KmemArena {
                     gbltarget: cfg.gbltarget,
                     per_cpu: inner
                         .slots
-                        .collect(|_, slot| CacheCounts::read(&slot.stats[idx])),
+                        .collect(|_, slot| CacheCounts::read(&slot.classes[idx].stats)),
                     global: GlobalCounts::read_merged(
                         inner.shards(idx).iter().map(|pool| pool.stats()),
                     ),
@@ -713,7 +721,7 @@ impl ArenaInner {
         let mut total = 0;
         for (_, slot) in self.slots.iter() {
             // SAFETY: quiescence per the function contract.
-            total += unsafe { &*slot.caches[class].get() }.len();
+            total += unsafe { &*slot.classes[class].cache.get() }.len();
         }
         total
     }
@@ -755,7 +763,7 @@ impl ArenaInner {
         let mut total = 0;
         for (_, slot) in self.slots.iter() {
             // SAFETY: quiescence per the function contract.
-            total += unsafe { &*slot.caches[class].get() }.quarantine_len();
+            total += unsafe { &*slot.classes[class].cache.get() }.quarantine_len();
         }
         total
     }
@@ -770,7 +778,7 @@ impl ArenaInner {
         let target = self.classes.class(class).target;
         for (cpu, slot) in self.slots.iter() {
             // SAFETY: quiescence per the function contract.
-            let cache = unsafe { &*slot.caches[class].get() };
+            let cache = unsafe { &*slot.classes[class].cache.get() };
             let (main, aux) = cache.shape();
             assert!(
                 main <= 2 * target && aux <= target,
@@ -793,9 +801,19 @@ pub struct CpuHandle {
     /// This CPU's home node under the arena topology, cached so the
     /// refill and spill paths never recompute the mapping.
     node: NodeId,
+    /// This CPU's slot in `inner.slots` and the arena's `plain` flag,
+    /// resolved at registration; the flag picks the profile once per call.
+    slot: NonNull<CpuSlot>,
+    plain: bool,
     /// `Cell` suppresses `Sync` while leaving the handle `Send`.
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
+
+// SAFETY: `slot` points into the boxed slot array of `inner`, which the
+// handle's own `Arc` keeps alive and never moves, and `CpuSlot` is `Sync`:
+// the pointer travels like the `&CpuSlot` it stands for. The other fields
+// are `Send`.
+unsafe impl Send for CpuHandle {}
 
 impl CpuHandle {
     /// This handle's CPU.
@@ -817,26 +835,17 @@ impl CpuHandle {
         }
     }
 
-    /// Grants mutable access to this CPU's cache for `class`.
-    ///
-    /// # Safety
-    ///
-    /// The returned reference must not overlap another `cache_mut` borrow
-    /// of the same class (internal callers keep each borrow scoped to one
-    /// operation). Exclusivity across threads is guaranteed by the
-    /// [`CpuClaim`] plus `!Sync`.
-    #[expect(clippy::mut_from_ref)]
-    #[inline]
-    unsafe fn cache_mut(&self, class: usize) -> &mut CpuCache {
-        let slot = self.inner.slots.get(self.cpu);
-        // SAFETY: see above.
-        unsafe { &mut *slot.caches[class].get() }
+    /// This CPU's slot.
+    #[inline(always)]
+    fn slot(&self) -> &CpuSlot {
+        // SAFETY: the slot lives in `self.inner`, which outlives `self`.
+        unsafe { self.slot.as_ref() }
     }
 
     /// Honours a pending drain request, if any.
     #[inline]
     fn check_drain(&self) {
-        let slot = self.inner.slots.get(self.cpu);
+        let slot = self.slot();
         if slot.drain.load(Ordering::Relaxed) {
             slot.drain.store(false, Ordering::Relaxed);
             self.flush_with_cause(FlushCause::Drain);
@@ -855,7 +864,7 @@ impl CpuHandle {
             return Err(AllocError::ZeroSize);
         }
         match self.inner.classes.class_for(size) {
-            Some(class) => self.alloc_class(class, size),
+            Some(class) => self.alloc_class_as(class, size),
             None => self.alloc_large(size),
         }
     }
@@ -907,9 +916,7 @@ impl CpuHandle {
                     if let Some(class) = class {
                         // After the alloc's own `alloc_fail` bump, so a
                         // live reader sees `sleep_retries <= alloc_fail`.
-                        self.inner.slots.get(self.cpu).stats[class]
-                            .sleep_retries
-                            .bump();
+                        self.slot().classes[class].stats.sleep_retries.bump();
                     }
                     for _ in 0..spins {
                         core::hint::spin_loop();
@@ -923,60 +930,118 @@ impl CpuHandle {
     }
 
     /// The paper's `KMEM_ALLOC_COOKIE`: the lean fast path for sizes
-    /// resolved ahead of time.
-    #[inline]
+    /// resolved ahead of time. Like the macro, the hit expands at the call
+    /// site — the profile flag, the arena id, the drain flag, the class
+    /// bound, a pop from `main`, the counter; everything else (and every
+    /// 64th call, whose hit samples occupancy) is one call to the whole
+    /// path, decided before anything is counted or moved.
+    #[inline(always)]
     pub fn alloc_cookie(&self, cookie: Cookie) -> Result<NonNull<u8>, AllocError> {
-        self.check_drain();
-        self.check_cookie(cookie)?;
-        self.alloc_class(cookie.class as usize, cookie.size as usize)
+        if let Some(cs) = self.cookie_hit_slot(cookie) {
+            let nth = cs.stats.alloc.next();
+            if nth & 63 != 0 {
+                // SAFETY: borrow scoped to the pop; the handle is plain.
+                if let Some(block) = unsafe { (*cs.cache.get()).pop_main::<true>() } {
+                    cs.stats.alloc.publish(nth);
+                    // SAFETY: `block` came off a freelist of this arena,
+                    // so it is also interior to the reservation.
+                    return Ok(unsafe {
+                        block::check_and_clear_poison_on_alloc(block);
+                        NonNull::new_unchecked(block)
+                    });
+                }
+            }
+        }
+        self.alloc_cookie_slow(cookie)
     }
 
-    /// Validates a cookie's arena identity: a debug assertion in the
-    /// default profile (zero release cost), a reported corruption under
-    /// any hardened defense — a foreign cookie's class index would walk
-    /// another arena's layout over this arena's freelists.
+    /// The record a cookie call may run its inlined hit on; `None` sends
+    /// it to the whole path, which sorts out why.
+    #[inline(always)]
+    fn cookie_hit_slot(&self, cookie: Cookie) -> Option<&ClassSlot> {
+        let slot = self.slot();
+        if !self.plain || cookie.arena_id != self.inner.id || slot.drain.load(Ordering::Relaxed) {
+            return None;
+        }
+        slot.classes.get(cookie.class as usize)
+    }
+
+    /// [`CpuHandle::alloc_cookie`] in full.
+    #[cold]
+    #[inline(never)]
+    fn alloc_cookie_slow(&self, cookie: Cookie) -> Result<NonNull<u8>, AllocError> {
+        self.check_drain();
+        self.check_cookie(cookie)?;
+        self.alloc_class_as(cookie.class as usize, cookie.size as usize)
+    }
+
+    /// Validates a cookie's arena identity: a foreign cookie's class index
+    /// would walk another arena's layout over this arena's caches, so it
+    /// is a reported corruption in every profile (an assertion in debug
+    /// builds). The inlined hits make the same compare, so they pay nothing.
     #[inline]
     fn check_cookie(&self, cookie: Cookie) -> Result<(), AllocError> {
         if cookie.arena_id != self.inner.id {
             debug_assert!(false, "cookie used on a different arena");
-            if self.inner.hardened.any() {
-                return Err(self
-                    .inner
-                    .report_corruption(CorruptionSite::CookieArena, cookie.arena_id as usize));
-            }
+            return Err(self
+                .inner
+                .report_corruption(CorruptionSite::CookieArena, cookie.arena_id as usize));
         }
         Ok(())
     }
 
+    /// [`CpuHandle::alloc_class`] under this handle's profile.
     #[inline]
-    fn alloc_class(&self, class: usize, size: usize) -> Result<NonNull<u8>, AllocError> {
+    fn alloc_class_as(&self, class: usize, size: usize) -> Result<NonNull<u8>, AllocError> {
+        if self.plain {
+            self.alloc_class::<true>(class, size)
+        } else {
+            self.alloc_class::<false>(class, size)
+        }
+    }
+
+    /// The class-sized allocation every interface shares, one instance per
+    /// profile. Out of line: five entry points reach it, and only the
+    /// cookie hit is worth a copy per call site.
+    #[inline(never)]
+    fn alloc_class<const PLAIN: bool>(
+        &self,
+        class: usize,
+        size: usize,
+    ) -> Result<NonNull<u8>, AllocError> {
         let inner = &*self.inner;
-        let stats = &inner.slots.get(self.cpu).stats[class];
+        let cs = &self.slot().classes[class];
+        let stats = &cs.stats;
         let nth = stats.alloc.bump();
         // SAFETY: borrow scoped to this operation.
-        let cache = unsafe { self.cache_mut(class) };
-        let block = match cache.alloc() {
+        let cache = unsafe { &mut *cs.cache.get() };
+        // SAFETY: `PLAIN` is the arena's profile.
+        let block = match unsafe { cache.pop_main::<PLAIN>() }.or_else(|| cache.alloc()) {
             Some(b) => {
                 // Occupancy shape sampling, 1 in 64 on the hit path (the
                 // cold paths below sample unconditionally).
                 if nth & 63 == 0 {
-                    stats.sample_occupancy(cache.len(), 2 * cache.target());
+                    stats.sample_occupancy(cache);
                 }
                 b
             }
             None => {
-                if let Some(fault) = cache.take_fault() {
-                    // A chain walk hit an implausible encoded link: the
-                    // unreachable remainder was sunk by the chain; account
-                    // the loss and surface the detection.
-                    inner.sunk[class].fetch_add(fault.lost, Ordering::Relaxed);
-                    return Err(inner.report_corruption(CorruptionSite::FreelistLink, fault.addr));
+                if !PLAIN {
+                    if let Some(fault) = cache.take_fault() {
+                        // A chain walk hit an implausible encoded link:
+                        // the unreachable remainder was sunk by the chain;
+                        // account the loss and surface the detection.
+                        inner.sunk[class].fetch_add(fault.lost, Ordering::Relaxed);
+                        return Err(
+                            inner.report_corruption(CorruptionSite::FreelistLink, fault.addr)
+                        );
+                    }
                 }
                 stats.alloc_miss.bump();
                 self.alloc_class_slow(class, size)?
             }
         };
-        if inner.hardened.poison {
+        if !PLAIN && inner.hardened.poison {
             // SAFETY: `block` came off a freelist of this arena and spans
             // the full class size.
             if let Err(word) =
@@ -1120,7 +1185,8 @@ impl CpuHandle {
     /// first block.
     #[cold]
     fn alloc_class_slow(&self, class: usize, size: usize) -> Result<*mut u8, AllocError> {
-        let stats = &self.inner.slots.get(self.cpu).stats[class];
+        let cs = &self.slot().classes[class];
+        let stats = &cs.stats;
         let target = self.inner.shard(class, self.node).target();
         let chain = match self.take_chain(class, target) {
             Some(chain) => chain,
@@ -1156,9 +1222,9 @@ impl CpuHandle {
         }
         stats.refill_blocks.add(chain.len() as u64);
         // SAFETY: borrow scoped to this operation.
-        let cache = unsafe { self.cache_mut(class) };
+        let cache = unsafe { &mut *cs.cache.get() };
         let block = cache.refill(chain);
-        stats.sample_occupancy(cache.len(), 2 * cache.target());
+        stats.sample_occupancy(cache);
         self.relax_pressure();
         Ok(block)
     }
@@ -1174,7 +1240,7 @@ impl CpuHandle {
                 max: self.inner.max_large,
             });
         }
-        let slot = self.inner.slots.get(self.cpu);
+        let slot = self.slot();
         match self.inner.vm.alloc_large_on(size, self.node) {
             Ok(p) => {
                 slot.large_allocs.bump();
@@ -1233,10 +1299,10 @@ impl CpuHandle {
             PdKind::BlockPage => {
                 let class = pd.class();
                 // SAFETY: forwarded caller contract.
-                unsafe { self.free_class(class, ptr.as_ptr()) }
+                unsafe { self.free_class_as(class, ptr.as_ptr()) }
             }
             PdKind::Large => {
-                self.inner.slots.get(self.cpu).large_frees.bump();
+                self.slot().large_frees.bump();
                 // SAFETY: forwarded caller contract.
                 unsafe { self.inner.vm.free_large_at(at) };
                 Ok(())
@@ -1259,10 +1325,10 @@ impl CpuHandle {
         match self.inner.classes.class_for(size) {
             // SAFETY: forwarded caller contract.
             Some(class) => {
-                let _ = unsafe { self.free_class(class, ptr.as_ptr()) };
+                let _ = unsafe { self.free_class_as(class, ptr.as_ptr()) };
             }
             None => {
-                self.inner.slots.get(self.cpu).large_frees.bump();
+                self.slot().large_frees.bump();
                 // SAFETY: forwarded caller contract.
                 unsafe { self.inner.vm.free_large(ptr) };
             }
@@ -1270,13 +1336,42 @@ impl CpuHandle {
     }
 
     /// The paper's `KMEM_FREE_COOKIE`: frees with no size lookup at all.
+    /// The hit — a push onto a `main` below `target` — expands at the call
+    /// site like [`CpuHandle::alloc_cookie`]'s; the rest is one call.
     ///
     /// # Safety
     ///
     /// As for [`CpuHandle::free`]; additionally `cookie` must be the
     /// cookie used for the matching allocation.
-    #[inline]
+    #[inline(always)]
     pub unsafe fn free_cookie(&self, ptr: NonNull<u8>, cookie: Cookie) {
+        if let Some(cs) = self.cookie_hit_slot(cookie) {
+            let nth = cs.stats.free.next();
+            // SAFETY: borrow scoped to the push; the handle is plain and
+            // the caller owns the allocated block, which is in no list. The
+            // debug double-free check reads a word the push leaves alone.
+            if nth & 63 != 0 && unsafe { (*cs.cache.get()).push_main::<true>(ptr.as_ptr()) } {
+                cs.stats.free.publish(nth);
+                // SAFETY: as above.
+                unsafe {
+                    block::check_not_double_free(ptr.as_ptr());
+                    block::poison(ptr.as_ptr());
+                }
+                return;
+            }
+        }
+        // SAFETY: forwarded caller contract.
+        unsafe { self.free_cookie_slow(ptr, cookie) }
+    }
+
+    /// [`CpuHandle::free_cookie`] in full.
+    ///
+    /// # Safety
+    ///
+    /// As for [`CpuHandle::free_cookie`].
+    #[cold]
+    #[inline(never)]
+    unsafe fn free_cookie_slow(&self, ptr: NonNull<u8>, cookie: Cookie) {
         self.check_drain();
         if self.check_cookie(cookie).is_err() {
             // Reported; freeing through a foreign cookie's class index
@@ -1284,18 +1379,43 @@ impl CpuHandle {
             return;
         }
         // SAFETY: forwarded caller contract.
-        let _ = unsafe { self.free_class(cookie.class as usize, ptr.as_ptr()) };
+        let _ = unsafe { self.free_class_as(cookie.class as usize, ptr.as_ptr()) };
     }
 
+    /// [`CpuHandle::free_class`] under this handle's profile.
+    ///
+    /// # Safety
+    ///
+    /// As for [`CpuHandle::free_class`].
+    #[inline]
+    unsafe fn free_class_as(&self, class: usize, block: *mut u8) -> Result<(), AllocError> {
+        // SAFETY: forwarded caller contract.
+        unsafe {
+            if self.plain {
+                self.free_class::<true>(class, block)
+            } else {
+                self.free_class::<false>(class, block)
+            }
+        }
+    }
+
+    /// The class-sized free every interface shares: one instance per
+    /// profile, out of line like [`CpuHandle::alloc_class`].
+    ///
     /// # Safety
     ///
     /// `block` is an allocated block of `class` from this arena, unaliased.
-    #[inline]
-    unsafe fn free_class(&self, class: usize, block: *mut u8) -> Result<(), AllocError> {
+    #[inline(never)]
+    unsafe fn free_class<const PLAIN: bool>(
+        &self,
+        class: usize,
+        block: *mut u8,
+    ) -> Result<(), AllocError> {
         let inner = &*self.inner;
-        let stats = &inner.slots.get(self.cpu).stats[class];
+        let cs = &self.slot().classes[class];
+        let stats = &cs.stats;
         let nth = stats.free.bump();
-        if inner.hardened.poison {
+        if !PLAIN && inner.hardened.poison {
             // SAFETY: caller owns the (allocated) block.
             if unsafe { block::is_free_poisoned(block) } {
                 // The block still carries its free poison: it was never
@@ -1314,16 +1434,16 @@ impl CpuHandle {
                 // With a quarantine ring configured, ring hits are the
                 // double-free defense and must surface as typed reports;
                 // the debug assertion would fire first and mask them.
-                if inner.hardened.quarantine == 0 {
+                if PLAIN || inner.hardened.quarantine == 0 {
                     block::check_not_double_free(block);
                 }
                 block::poison(block);
             }
         }
         // SAFETY: borrow scoped to this operation.
-        let cache = unsafe { self.cache_mut(class) };
+        let cache = unsafe { &mut *cs.cache.get() };
         let mut park = block;
-        if cache.has_quarantine() {
+        if !PLAIN && cache.has_quarantine() {
             match cache.quarantine_check_insert(block) {
                 QuarantineVerdict::Hit => {
                     return Err(inner
@@ -1332,7 +1452,7 @@ impl CpuHandle {
                 QuarantineVerdict::Parked => {
                     inner.quarantined.fetch_add(1, Ordering::Relaxed);
                     if nth & 63 == 0 {
-                        stats.sample_occupancy(cache.len(), 2 * cache.target());
+                        stats.sample_occupancy(cache);
                     }
                     return Ok(());
                 }
@@ -1342,13 +1462,21 @@ impl CpuHandle {
                 QuarantineVerdict::Evicted(old) => park = old,
             }
         }
-        // SAFETY: `park` is free as of this call and in no list.
-        if let Some(chain) = unsafe { cache.free(park) } {
+        // SAFETY: `park` is free as of this call and in no list; `PLAIN` is
+        // the arena's profile.
+        let overflow = unsafe {
+            if cache.push_main::<PLAIN>(park) {
+                None
+            } else {
+                cache.free(park)
+            }
+        };
+        if let Some(chain) = overflow {
             stats.free_miss.bump();
             self.return_chain(class, chain);
         } else if nth & 63 == 0 {
             // Occupancy shape sampling, 1 in 64 on the hit path.
-            stats.sample_occupancy(cache.len(), 2 * cache.target());
+            stats.sample_occupancy(cache);
         }
         Ok(())
     }
@@ -1423,12 +1551,11 @@ impl CpuHandle {
     /// Flushes that evict nothing are not counted (every counted flush
     /// contributes at least one block to `flush_blocks`).
     fn flush_with_cause(&self, cause: FlushCause) {
-        let slot = self.inner.slots.get(self.cpu);
-        for class in 0..self.inner.classes.len() {
+        for (class, cs) in self.slot().classes.iter().enumerate() {
             // SAFETY: borrow scoped to this operation.
-            let cache = unsafe { self.cache_mut(class) };
-            let stats = &slot.stats[class];
-            stats.sample_occupancy(cache.len(), 2 * cache.target());
+            let cache = unsafe { &mut *cs.cache.get() };
+            let stats = &cs.stats;
+            stats.sample_occupancy(cache);
             let parked = cache.quarantine_len();
             let all = cache.flush();
             if parked > 0 {
@@ -1470,7 +1597,7 @@ impl CpuHandle {
     pub fn cached_blocks(&self) -> usize {
         (0..self.inner.classes.len())
             // SAFETY: read-only peek at our own caches.
-            .map(|c| unsafe { self.cache_mut(c) }.len())
+            .map(|c| unsafe { &*self.slot().classes[c].cache.get() }.len())
             .sum()
     }
 
@@ -1478,7 +1605,7 @@ impl CpuHandle {
     /// paper's split-freelist bound is that each stays ≤ `target`).
     pub fn cache_shape(&self, class: usize) -> (usize, usize) {
         // SAFETY: read-only peek at our own cache.
-        unsafe { self.cache_mut(class) }.shape()
+        unsafe { &*self.slot().classes[class].cache.get() }.shape()
     }
 }
 
@@ -1555,6 +1682,43 @@ mod tests {
         // SAFETY: allocated above.
         unsafe { cpu.free_sized(q, 100) };
         verify_arena(&a);
+    }
+
+    #[test]
+    fn only_the_default_profile_with_the_split_freelist_is_plain() {
+        // The inlined cookie hit and the `PLAIN` class paths carry no
+        // defense and assume split caches: any knob, alone, must turn them
+        // off for every handle of the arena.
+        let plain = |cfg: KmemConfig| {
+            let a = KmemArena::new(cfg).unwrap();
+            a.register_cpu().unwrap().plain
+        };
+        let off = HardenedConfig::off();
+        assert!(plain(KmemConfig::small()));
+        for h in [
+            HardenedConfig {
+                encode: true,
+                ..off
+            },
+            HardenedConfig {
+                poison: true,
+                ..off
+            },
+            HardenedConfig {
+                randomize: true,
+                ..off
+            },
+            HardenedConfig {
+                quarantine: 1,
+                ..off
+            },
+            HardenedConfig::full(7),
+        ] {
+            assert!(!plain(KmemConfig::small().hardened(h)), "{h:?}");
+        }
+        let mut single_list = KmemConfig::small();
+        single_list.split_freelist = false;
+        assert!(!plain(single_list));
     }
 
     #[test]

@@ -120,9 +120,22 @@ impl Chain {
     /// the caller, and in no other list.
     #[inline]
     pub unsafe fn push(&mut self, block: *mut u8) {
-        debug_assert!(!block.is_null());
+        // SAFETY: forwarded caller contract.
+        unsafe { self.push_as::<false>(block) }
+    }
+
+    /// The body of [`Chain::push`]. `PLAIN` is a caller's static knowledge
+    /// that the chain's key is [`LinkKey::PLAIN`]: the link mask folds away.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Chain::push`]; `PLAIN` only on a chain with the plain key.
+    #[inline(always)]
+    pub(crate) unsafe fn push_as<const PLAIN: bool>(&mut self, block: *mut u8) {
+        debug_assert!(!block.is_null() && (!PLAIN || self.key.is_plain()));
+        let key = if PLAIN { LinkKey::PLAIN } else { self.key };
         // SAFETY: `block` is a free block per the contract.
-        unsafe { block::write_next(block, self.head, self.key) };
+        unsafe { block::write_next(block, self.head, key) };
         if self.head.is_null() {
             self.tail = block;
         }
@@ -145,14 +158,28 @@ impl Chain {
     /// [`ChainFault`], and returns `None`.
     #[inline]
     pub fn pop(&mut self) -> Option<*mut u8> {
+        // SAFETY: `false` claims nothing about the key.
+        unsafe { self.pop_as::<false>() }
+    }
+
+    /// The body of [`Chain::pop`]; under `PLAIN` (see [`Chain::push_as`])
+    /// the link check and the sink behind it compile away.
+    ///
+    /// # Safety
+    ///
+    /// `PLAIN` only on a chain with the plain key: the link is read bare.
+    #[inline(always)]
+    pub(crate) unsafe fn pop_as<const PLAIN: bool>(&mut self) -> Option<*mut u8> {
+        debug_assert!(!PLAIN || self.key.is_plain());
         if self.head.is_null() {
             return None;
         }
         let block = self.head;
+        let key = if PLAIN { LinkKey::PLAIN } else { self.key };
         // SAFETY: `block` is the head of this chain, so it is a free block
         // whose link word we wrote.
-        let next = unsafe { block::read_next(block, self.key) };
-        if !self.key.is_plain() && !self.key.plausible(next) {
+        let next = unsafe { block::read_next(block, key) };
+        if !PLAIN && !self.key.is_plain() && !self.key.plausible(next) {
             self.sink(block as usize);
             return None;
         }

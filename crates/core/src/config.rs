@@ -44,9 +44,10 @@ impl ClassConfig {
 
 /// The hardened-profile knobs: which heap-corruption defenses an arena
 /// runs with. The default ([`HardenedConfig::off`]) is the paper's plain
-/// profile — every defense compiled in but dormant, with the dormant cost
-/// of the link paths being the identity XOR mask (see
-/// [`crate::block::LinkKey::PLAIN`]).
+/// profile — the per-CPU layer runs an instance of its paths compiled
+/// without the defenses (see [`HardenedConfig::any`]); the layers below
+/// keep them compiled in but dormant, the dormant cost of their link paths
+/// being the identity XOR mask ([`crate::block::LinkKey::PLAIN`]).
 ///
 /// The defenses are the SLUB-style quartet: XOR-encoded freelist links,
 /// poison-on-free verified on alloc, seeded randomized carve order for
@@ -110,8 +111,12 @@ impl HardenedConfig {
         }
     }
 
-    /// Whether any defense is active (the one branch the dormant path
-    /// pays per configuration read).
+    /// Whether any defense is active. With none (and the split freelist)
+    /// the arena runs the plain profile, and that is the one branch the
+    /// dormant path pays: a flag each [`crate::CpuHandle`] copies at
+    /// registration and reads once per call, to pick the instance of the
+    /// class paths compiled without poison, quarantine, latched-fault and
+    /// link-mask code.
     pub const fn any(&self) -> bool {
         self.encode || self.poison || self.randomize || self.quarantine > 0
     }

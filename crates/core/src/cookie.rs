@@ -6,12 +6,23 @@
 //! contains pointers to the proper per-CPU pools, removing the need for the
 //! free operation to determine the block size given only its address."
 //!
-//! In Rust the "macro" halves are the `#[inline]` methods
-//! [`crate::CpuHandle::alloc_cookie`] and [`crate::CpuHandle::free_cookie`];
-//! the cookie itself carries the resolved class index (the per-CPU pool
-//! array is indexed by CPU at the call site, since a cookie may be shared
-//! between CPUs) plus the arena identity so debug builds can catch cookies
-//! crossing arenas.
+//! In Rust the "macro" halves are [`crate::CpuHandle::alloc_cookie`] and
+//! [`crate::CpuHandle::free_cookie`]. What is inline, as in the paper, is
+//! the *hit* (`#[inline(always)]`): on a handle of a plain-profile arena
+//! — one flag, resolved at registration — an arena-id compare, the drain
+//! flag, the class bound, a pop from (or push onto) the `main` list of the
+//! (CPU, class) record the handle points at, and the counter. Everything
+//! else is a call to one `#[cold]` continuation per half that holds the
+//! whole path: an empty or full `main`, a drain request, a hardened or
+//! single-list arena, a foreign cookie, and every 64th call, whose hit
+//! also samples the cache's occupancy. `scripts/fastpath.sh` holds the two
+//! expansions to an instruction budget beside the paper's 13 + 13.
+//!
+//! The cookie itself carries the resolved class index (the per-CPU pool
+//! array is reached through the handle at the call site, since a cookie
+//! may be shared between CPUs) plus the arena identity: a cookie presented
+//! to another arena is an assertion in debug builds and a typed, counted
+//! [`crate::CorruptionSite::CookieArena`] error in every release profile.
 
 /// An opaque, copyable token encoding a resolved size class.
 ///
@@ -22,7 +33,7 @@
 pub struct Cookie {
     pub(crate) class: u32,
     pub(crate) size: u32,
-    /// Identity of the issuing arena (debug validation only).
+    /// Identity of the issuing arena (checked on every call).
     pub(crate) arena_id: u64,
 }
 

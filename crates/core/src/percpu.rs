@@ -89,13 +89,13 @@ counters! {
 }
 
 impl CacheStats {
-    /// Records one occupancy sample: `len` blocks cached out of a
-    /// `capacity` bound (`2 * target`). Called on cold paths and on a
-    /// 1-in-64 sampling cadence from the alloc fast path.
+    /// Records one occupancy sample: the blocks `cache` holds out of its
+    /// `2 * target` bound. Called on cold paths and on a 1-in-64 sampling
+    /// cadence from the hit paths.
     #[inline]
-    pub(crate) fn sample_occupancy(&self, len: usize, capacity: usize) {
-        let bucket = (len * OCC_BUCKETS)
-            .checked_div(capacity)
+    pub(crate) fn sample_occupancy(&self, cache: &CpuCache) {
+        let bucket = (cache.len() * OCC_BUCKETS)
+            .checked_div(2 * cache.target)
             .map_or(0, |b| b.min(OCC_BUCKETS - 1));
         self.occupancy[bucket].bump();
     }
@@ -201,6 +201,19 @@ impl CpuCache {
         None
     }
 
+    /// The hit of [`CpuCache::alloc`] — a pop from `main`, nothing else —
+    /// for a caller to run inline before it falls back to `alloc`.
+    ///
+    /// # Safety
+    ///
+    /// `PLAIN` only on a cache created with [`LinkKey::PLAIN`].
+    #[inline(always)]
+    pub(crate) unsafe fn pop_main<const PLAIN: bool>(&mut self) -> Option<*mut u8> {
+        let _irq = self.excl.enter();
+        // SAFETY: forwarded caller contract.
+        unsafe { self.main.pop_as::<PLAIN>() }
+    }
+
     /// Installs a replenishment chain from the global layer and pops one
     /// block from it.
     ///
@@ -256,6 +269,25 @@ impl CpuCache {
         // SAFETY: forwarded caller contract.
         unsafe { self.main.push(block) };
         overflow
+    }
+
+    /// The hit of [`CpuCache::free`] on a split freelist — a push onto a
+    /// `main` below `target`; `false` leaves the block to `free`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`CpuCache::free`]; `PLAIN` only on a split cache created
+    /// with [`LinkKey::PLAIN`].
+    #[inline(always)]
+    pub(crate) unsafe fn push_main<const PLAIN: bool>(&mut self, block: *mut u8) -> bool {
+        debug_assert!(!PLAIN || self.split);
+        if self.main.len() == self.target || !(PLAIN || self.split) {
+            return false;
+        }
+        let _irq = self.excl.enter();
+        // SAFETY: forwarded caller contract.
+        unsafe { self.main.push_as::<PLAIN>(block) };
+        true
     }
 
     /// Single-list ablation: bound `2 * target`, overflow splits off the

@@ -89,9 +89,23 @@ impl LocalCounter {
     /// cheap 1-in-N sampling decisions without a second load).
     #[inline]
     pub fn bump(&self) -> u64 {
-        let n = self.value.load(Ordering::Relaxed) + 1;
-        self.value.store(n, Ordering::Release);
+        let n = self.next();
+        self.publish(n);
         n
+    }
+
+    /// The count the owner's next [`LocalCounter::bump`] would return:
+    /// `bump` in two halves, for an owner that decides on the count before
+    /// it commits the event with [`LocalCounter::publish`].
+    #[inline]
+    pub fn next(&self) -> u64 {
+        self.value.load(Ordering::Relaxed) + 1
+    }
+
+    /// Single-writer store of a count obtained from [`LocalCounter::next`].
+    #[inline]
+    pub fn publish(&self, n: u64) {
+        self.value.store(n, Ordering::Release);
     }
 
     /// Single-writer add.
@@ -152,6 +166,10 @@ mod tests {
         assert_eq!(c.bump(), 2);
         c.add(5);
         assert_eq!(c.get(), 7);
+        // `next` commits nothing; `publish` is the other half of `bump`.
+        assert_eq!((c.next(), c.get()), (8, 7));
+        c.publish(8);
+        assert_eq!(c.get(), 8);
     }
 
     #[test]

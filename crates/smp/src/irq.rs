@@ -36,18 +36,21 @@ impl ExclusionFlag {
     /// Panics in debug builds if the section is already active, i.e. if the
     /// per-CPU critical section would have been re-entered — a bug that real
     /// interrupt masking exists to prevent.
+    ///
+    /// Release builds neither set nor clear the flag: only the assertion
+    /// reads it, and maintaining it would cost every per-CPU cache hit two
+    /// byte stores.
     #[inline]
     pub fn enter(&self) -> IrqGuard<'_> {
         debug_assert!(
             !self.active.replace(true),
             "per-CPU critical section re-entered (interrupts were 'disabled')"
         );
-        #[cfg(not(debug_assertions))]
-        self.active.set(true);
         IrqGuard { flag: self }
     }
 
-    /// Returns whether the section is currently active.
+    /// Returns whether the section is currently active (always `false`
+    /// without `debug_assertions`, where the flag is not maintained).
     #[inline]
     pub fn is_active(&self) -> bool {
         self.active.get()
@@ -63,7 +66,9 @@ pub struct IrqGuard<'a> {
 impl Drop for IrqGuard<'_> {
     #[inline]
     fn drop(&mut self) {
-        self.flag.active.set(false);
+        if cfg!(debug_assertions) {
+            self.flag.active.set(false);
+        }
     }
 }
 
@@ -72,6 +77,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg(debug_assertions)]
     fn enter_and_drop_toggle_active() {
         let f = ExclusionFlag::new();
         assert!(!f.is_active());

@@ -4,10 +4,12 @@
 //! becomes a typed error plus a counted, deliberate leak, never a silent
 //! loss.
 //!
-//! Three tiers:
+//! Four tiers:
 //!
 //! * typed-error unit flows (double free through both the quarantine and
 //!   the poison heuristic, conservation intact after each report);
+//! * the same detections through the cookie interface, whose cache hit is
+//!   inlined for plain arenas only, under each knob alone and all four;
 //! * a property test: flip one random *word* of a freed block to garbage
 //!   and the next same-class allocation must report it — the link word
 //!   surfaces as a corrupted freelist link, every other word as a
@@ -93,6 +95,115 @@ fn poison_reports_typed_double_free_without_quarantine() {
     cpu.flush();
     arena.reclaim();
     verify_empty(&arena);
+}
+
+/// One cookie-interface misuse against a fresh arena running `h`: frees a
+/// victim with `free_cookie` (twice with `refree`), pushes it out of the
+/// quarantine ring, if any, so that it heads the per-CPU list, overwrites
+/// `word` of it when asked, and — unless it was the double free under
+/// test — allocates. Returns the snapshot and the allocation's result,
+/// with conservation already checked.
+fn cookie_misuse(
+    h: HardenedConfig,
+    word: Option<usize>,
+    refree: bool,
+) -> (
+    kmem::KmemSnapshot,
+    Option<Result<std::ptr::NonNull<u8>, KmemError>>,
+) {
+    let arena = KmemArena::new(KmemConfig::small().hardened(h)).unwrap();
+    let cpu = arena.register_cpu().unwrap();
+    let cookie = arena.cookie_for(SIZE).unwrap();
+    let fillers: Vec<_> = (0..h.quarantine)
+        .map(|_| cpu.alloc_cookie(cookie).unwrap())
+        .collect();
+    let victim = cpu.alloc_cookie(cookie).unwrap();
+    // SAFETY: every block was allocated above with this cookie and is freed
+    // once, except for the second free of `victim` and the word write,
+    // which are the misuses under test.
+    let result = unsafe {
+        cpu.free_cookie(victim, cookie);
+        if refree {
+            cpu.free_cookie(victim, cookie);
+        }
+        for p in fillers {
+            cpu.free_cookie(p, cookie);
+        }
+        if let Some(word) = word {
+            (victim.as_ptr() as *mut u64).add(word).write(!0);
+        }
+        (!refree).then(|| cpu.alloc_cookie(cookie))
+    };
+    let held = usize::from(matches!(result, Some(Ok(_))));
+    verify_arena(&arena);
+    verify_conservation(&arena, &held_counts(&arena, held));
+    let snap = arena.snapshot();
+    if let Some(Ok(p)) = result {
+        // SAFETY: allocated just above, freed once.
+        unsafe { cpu.free_cookie(p, cookie) };
+    }
+    (snap, result)
+}
+
+/// No hardened handle takes the plain cookie path: each knob alone, and
+/// all of them together, still detects through `alloc_cookie` /
+/// `free_cookie` what it detects through the standard interface — a
+/// double free by the ring or by the intact poison, a write after free, a
+/// clobbered link — as typed, counted reports in any build, with
+/// conservation intact. A knob that detects nothing (`randomize`) must
+/// still run clean.
+#[test]
+fn cookie_interface_detects_under_each_knob_alone() {
+    let off = HardenedConfig {
+        seed: 0xc00c_1e55,
+        ..HardenedConfig::off()
+    };
+    let profiles = [
+        HardenedConfig {
+            encode: true,
+            ..off
+        },
+        HardenedConfig {
+            poison: true,
+            ..off
+        },
+        HardenedConfig {
+            randomize: true,
+            ..off
+        },
+        HardenedConfig {
+            quarantine: 8,
+            ..off
+        },
+        HardenedConfig::full(off.seed),
+    ];
+    for h in profiles {
+        let (clean, got) = cookie_misuse(h, None, false);
+        assert!(matches!(got, Some(Ok(_))), "{h:?}: {got:?}");
+        assert_eq!(clean.corruption_reports, 0, "{h:?}");
+
+        if h.poison || h.quarantine > 0 {
+            // `free_cookie` counts and drops: the site shows in which
+            // counter moved (the poison check runs before the ring).
+            let (snap, _) = cookie_misuse(h, None, true);
+            assert_eq!(snap.corruption_reports, 1, "{h:?}: double free missed");
+            assert_eq!(snap.poison_hits, u64::from(h.poison), "{h:?}");
+            assert_eq!(snap.encode_faults, 0, "{h:?}");
+        }
+        let expect = |word, site| match cookie_misuse(h, Some(word), false) {
+            (snap, Some(Err(KmemError::Corruption { site: got, .. }))) => {
+                assert_eq!(got, site, "{h:?}");
+                assert_eq!(snap.corruption_reports, 1, "{h:?}");
+            }
+            (_, other) => panic!("{h:?}: word {word} overwrite not reported: {other:?}"),
+        };
+        if h.poison {
+            expect(2, CorruptionSite::PoisonOverwrite);
+        }
+        if h.encode {
+            expect(0, CorruptionSite::FreelistLink);
+        }
+    }
 }
 
 /// The detection property: overwrite one random word of a freed block

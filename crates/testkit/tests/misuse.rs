@@ -1,14 +1,14 @@
 //! Misuse detection: the guards must catch API abuse loudly instead of
 //! corrupting the arena.
 //!
-//! Two tiers. In the *default* profile the cookie-validation and
-//! poisoning guards are `debug_assert!`-based (they must cost nothing in
-//! release kernels), so those tests are gated on `debug_assertions`. In
-//! the *hardened* profile the same abuses are detected in every build —
-//! the second half of this file runs the release-capable versions, gated
-//! on the profile rather than the compiler. The dope-vector
-//! foreign-pointer guard is structural and fires in every build and
-//! every profile.
+//! Two tiers. In the *default* profile the poisoning guards are
+//! `debug_assert!`-based (they must cost nothing in release kernels), so
+//! those tests are gated on `debug_assertions`; a foreign cookie asserts
+//! in debug builds and is a typed error in release ones. In the
+//! *hardened* profile the same abuses are detected in every build — the
+//! second half of this file runs the release-capable versions, gated on
+//! the profile rather than the compiler. The dope-vector foreign-pointer
+//! guard is structural and fires in every build and every profile.
 
 use kmem::{HardenedConfig, KmemArena, KmemConfig};
 
@@ -48,6 +48,52 @@ fn cross_arena_cookie_free_is_caught() {
     // SAFETY: deliberately wrong cookie — the guard must fire before any
     // freelist is touched.
     unsafe { cpu_b.free_cookie(p, cookie_a) };
+}
+
+/// Regression: in a release build of the *default* profile the arena-id
+/// check used to compile away, so the safe `alloc_cookie` indexed this
+/// arena's caches with another ladder's class index — here it handed out a
+/// 64-byte block for a 256-byte cookie — and `free_cookie` threaded the
+/// block onto the wrong class's freelist. A foreign cookie is a typed,
+/// counted error in every profile, and neither call touches a cache.
+/// (Debug builds assert instead: the two tests above.)
+#[cfg(not(debug_assertions))]
+#[test]
+fn foreign_cookie_is_a_typed_error_in_the_default_profile() {
+    use kmem::{ClassConfig, CorruptionSite, KmemError};
+    let mut short_ladder = KmemConfig::small();
+    short_ladder.classes = [64, 128, 256].map(ClassConfig::with_heuristics).to_vec();
+    let a = KmemArena::new(short_ladder).unwrap();
+    let b = arena();
+    let foreign = a.cookie_for(256).unwrap();
+    let own = b.cookie_for(256).unwrap();
+    // Class 2 is 256 bytes in `a` and 64 bytes in `b`.
+    assert_eq!(foreign.block_size(), 256);
+    assert_eq!(b.snapshot().classes[foreign.class_index()].size, 64);
+
+    let cpu = b.register_cpu().unwrap();
+    let p = cpu.alloc_cookie(own).unwrap();
+    let warm = cpu.alloc(64).unwrap();
+    // SAFETY: allocated just above, freed once.
+    unsafe { cpu.free_sized(warm, 64) };
+    let before = b.snapshot();
+    let cached = cpu.cached_blocks();
+
+    match cpu.alloc_cookie(foreign) {
+        Err(KmemError::Corruption { site, .. }) => assert_eq!(site, CorruptionSite::CookieArena),
+        other => panic!("foreign cookie not reported: {other:?}"),
+    }
+    // SAFETY: deliberately the wrong cookie — the free must be dropped and
+    // counted, leaving `p` allocated.
+    unsafe { cpu.free_cookie(p, foreign) };
+
+    let mut expected = before.clone();
+    expected.corruption_reports += 2;
+    assert_eq!(b.snapshot().to_json(), expected.to_json());
+    assert_eq!(cpu.cached_blocks(), cached);
+    // SAFETY: `p` is still allocated; this is its one real free.
+    unsafe { cpu.free_cookie(p, own) };
+    kmem::verify::verify_arena(&b);
 }
 
 /// Freeing the same block twice trips the poison check: the second free

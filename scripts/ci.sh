@@ -148,4 +148,7 @@ benchmark/run.sh --smoke --traced >/dev/null
 echo "==> core size (non-test lines; report only)"
 scripts/loc.sh
 
+echo "==> cookie path length (instructions per inlined alloc/free, gated)"
+scripts/fastpath.sh
+
 echo "==> OK: all tier-1 checks passed"

@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Path-length gate for the cookie interface: the paper's KMEM_ALLOC_COOKIE /
+# KMEM_FREE_COOKIE are 13 + 13 instructions expanded at the call site.
+# examples/fastpath_probe.rs wraps one expansion of each of ours in a
+# never-inlined function; this script disassembles the two wrappers, prints
+# their instruction count and byte size (hit path, cold-call stubs and
+# prologue included; padding not), and fails when either outgrows BUDGET
+# or when `CpuHandle::alloc_cookie` / `free_cookie` exist as functions at
+# all — they are `#[inline(always)]`, so a symbol means a caller got a
+# `call` instead of the hit path.
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BUDGET=48
+
+if ! command -v objdump >/dev/null; then
+    echo "fastpath: objdump not found, path-length gate skipped"
+    exit 0
+fi
+
+cargo build --release --offline --quiet --example fastpath_probe
+bin="${CARGO_TARGET_DIR:-target}/release/examples/fastpath_probe"
+
+fail=0
+for sym in probe_alloc_cookie probe_free_cookie; do
+    body=$(objdump -d --no-show-raw-insn "$bin" | awk -v head="<$sym>:" '
+        $2 == head { on = 1; next }
+        on && NF == 0 { on = 0 }
+        on && $2 !~ /^(int3|nop[wl]?|data16)$/ && $0 !~ /xchg +%ax,%ax/')
+    insns=$(grep -c . <<<"$body" || true)
+    bytes=$((16#$(objdump -t "$bin" | awk -v s="$sym" '$NF == s { print $(NF - 1) }')))
+    printf 'fastpath: %-20s %3d instructions %4d bytes (budget %d instructions; the paper: 13)\n' \
+        "$sym" "$insns" "$bytes" "$BUDGET"
+    if [ "$insns" -eq 0 ] || [ "$insns" -gt "$BUDGET" ]; then
+        echo "ERROR: $sym is $insns instructions, budget $BUDGET" >&2
+        fail=1
+    fi
+done
+
+outlined=$(objdump -t -C "$bin" | grep -E 'CpuHandle>?::(alloc|free)_cookie(::h[0-9a-f]+)?$' || true)
+if [ -n "$outlined" ]; then
+    echo "ERROR: the cookie entry points were emitted out of line:" >&2
+    echo "$outlined" >&2
+    fail=1
+fi
+exit "$fail"

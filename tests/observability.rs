@@ -171,3 +171,195 @@ fn aggregate_is_the_sum_of_the_per_cpu_rows() {
     }
     assert_eq!(stats.total_allocs(), snap.total_allocs());
 }
+
+/// What the twin-arena seam test expects of one (CPU, class) cache,
+/// counted by hand: the split-freelist rules of `percpu` replayed on two
+/// lengths, plus every counter the arena bumps around them.
+#[derive(Default)]
+struct CacheModel {
+    split: bool,
+    target: usize,
+    main: usize,
+    aux: usize,
+    counts: kmem::snapshot::CacheCounts,
+    samples: u64,
+    /// Seams crossed, so the stream can be shown to have reached each.
+    aux_swaps: u64,
+    demotions: u64,
+}
+
+impl CacheModel {
+    fn would_hit_alloc(&self) -> bool {
+        self.main > 0
+    }
+
+    /// `shape` is the cache's `(main, aux)` after the call: a refill's
+    /// length is the one thing the model takes from the arena.
+    fn alloc(&mut self, shape: (usize, usize)) {
+        self.counts.alloc += 1;
+        if self.main == 0 && self.aux == 0 {
+            self.counts.alloc_miss += 1;
+            self.counts.refill += 1;
+            let got = shape.0 + 1;
+            assert!((1..=self.target).contains(&got), "refill of {got}");
+            self.counts.refill_short += u64::from(got < self.target);
+            self.counts.refill_blocks += got as u64;
+            self.main = shape.0;
+            self.samples += 1;
+            return;
+        }
+        if self.main == 0 {
+            self.aux_swaps += 1;
+            self.main = core::mem::take(&mut self.aux);
+        }
+        self.main -= 1;
+        self.samples += u64::from(self.counts.alloc.is_multiple_of(64));
+    }
+
+    fn free(&mut self) {
+        self.counts.free += 1;
+        let mut overflowed = false;
+        if self.split {
+            if self.main == self.target {
+                overflowed = self.aux > 0;
+                self.demotions += 1;
+                self.aux = core::mem::take(&mut self.main);
+            }
+        } else if self.main == 2 * self.target {
+            overflowed = true;
+            self.main -= self.target;
+        }
+        self.main += 1;
+        if overflowed {
+            self.counts.free_miss += 1;
+        } else {
+            self.samples += u64::from(self.counts.free.is_multiple_of(64));
+        }
+    }
+
+    /// Every flush samples; only one that evicts is counted.
+    fn flush(&mut self, counter: fn(&mut kmem::snapshot::CacheCounts) -> &mut u64) {
+        self.samples += 1;
+        let evicted = (self.main + self.aux) as u64;
+        if evicted > 0 {
+            *counter(&mut self.counts) += 1;
+            self.counts.flush_blocks += evicted;
+        }
+        (self.main, self.aux) = (0, 0);
+    }
+}
+
+/// Drives one seeded op stream through the cookie interface or the
+/// standard one and returns the addresses handed out (as offsets into the
+/// arena's reservation) with the (CPU 0, 256-B) counters, after checking
+/// both against [`CacheModel`] call by call.
+fn drive_seams(split: bool, cookies: bool) -> (Vec<usize>, kmem::snapshot::CacheCounts) {
+    const SIZE: usize = 256;
+    let mut cfg = KmemConfig::new(2, SpaceConfig::new(32 << 20));
+    cfg.split_freelist = split;
+    let a = KmemArena::new(cfg).unwrap();
+    let cpu = a.register_cpu().unwrap();
+    let other = a.register_cpu().unwrap();
+    let cookie = a.cookie_for(SIZE).unwrap();
+    let class = cookie.class_index();
+    let base = a.space().base_addr();
+    let mut model = CacheModel {
+        split,
+        target: a.snapshot().classes[class].target,
+        ..CacheModel::default()
+    };
+
+    let mut held: Vec<NonNull<u8>> = Vec::new();
+    let mut addrs = Vec::new();
+    let mut drains = 0;
+    let mut x = 0x5EA4_0B5E_u64;
+    let mut growing = true;
+    for op in 0..6000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        // Waves between 0 and ~70 held blocks: long enough runs either way
+        // to empty both halves and to overflow them.
+        growing = match held.len() {
+            0 => true,
+            70.. => false,
+            _ => growing,
+        };
+        let alloc = held.is_empty() || x.is_multiple_of(4) != growing;
+        // A drain request posted while the next call would be a plain hit
+        // must be honoured by that very call.
+        if op % 500 == 250 && alloc && model.would_hit_alloc() {
+            other.request_drain();
+            assert_eq!(a.pending_drains(), 1);
+            model.flush(|c| &mut c.flush_drain);
+            drains += 1;
+        }
+        if alloc {
+            let p = if cookies {
+                cpu.alloc_cookie(cookie)
+            } else {
+                cpu.alloc(SIZE)
+            }
+            .unwrap();
+            model.alloc(cpu.cache_shape(class));
+            addrs.push(p.as_ptr() as usize - base);
+            held.push(p);
+        } else {
+            let p = held.swap_remove((x >> 32) as usize % held.len());
+            // SAFETY: allocated above with this cookie / size, freed once.
+            unsafe {
+                if cookies {
+                    cpu.free_cookie(p, cookie);
+                } else {
+                    cpu.free_sized(p, SIZE);
+                }
+            }
+            model.free();
+        }
+        assert_eq!(a.pending_drains(), 0, "op {op}: drain not honoured");
+        assert_eq!(
+            cpu.cache_shape(class),
+            (model.main, model.aux),
+            "op {op}: cache shape left the model"
+        );
+        if op == 3000 {
+            cpu.flush();
+            model.flush(|c| &mut c.flush_explicit);
+        }
+    }
+    // The stream reached every seam it was sized for.
+    assert!(drains >= 5, "{drains} drains");
+    assert!(model.counts.refill > 20 && model.counts.free_miss > 20);
+    if split {
+        assert!(model.aux_swaps > 20 && model.demotions > 20);
+    }
+
+    let snap = a.snapshot();
+    let got = *snap.cpu_class(cpu.cpu().index(), class);
+    assert_eq!(got.occupancy_samples(), model.samples);
+    let expected = kmem::snapshot::CacheCounts {
+        occupancy: got.occupancy,
+        ..model.counts
+    };
+    assert_eq!(got, expected);
+    for p in held {
+        // SAFETY: allocated above, freed exactly once.
+        unsafe { cpu.free(p) };
+    }
+    (addrs, got)
+}
+
+/// The cookie interface and the standard one are one state machine: the
+/// same op stream hands out the same blocks and leaves the same counters,
+/// across refill, aux→main swap, main→aux demotion, overflow to the global
+/// layer, drain requests and flushes — with the split freelist and with
+/// the single-list ablation.
+#[test]
+fn cookie_and_standard_interfaces_are_one_state_machine() {
+    for split in [true, false] {
+        let (cookie_addrs, cookie_counts) = drive_seams(split, true);
+        let (std_addrs, std_counts) = drive_seams(split, false);
+        assert_eq!(cookie_addrs, std_addrs, "split={split}");
+        assert_eq!(cookie_counts, std_counts, "split={split}");
+    }
+}
