@@ -46,7 +46,8 @@ enum FlushCause {
     LowMemory,
 }
 
-/// Arena identity counter (cookie validation across arenas).
+/// Arena identity counter (cookie validation across arenas). Starts at 1:
+/// a [`CpuHandle`] that is not plain stands for "no arena" with id 0.
 static NEXT_ARENA_ID: AtomicU64 = AtomicU64::new(1);
 
 /// splitmix64 finalizer: derives the per-arena link secret and carve
@@ -73,6 +74,10 @@ pub(crate) struct CpuSlot {
     /// (owner-written; snapshots sum them over CPUs).
     large_allocs: LocalCounter,
     large_frees: LocalCounter,
+    /// Refill chains this CPU took from its own node's shard / stole from
+    /// a remote node's (owner-written; snapshots sum them per node).
+    local_refills: LocalCounter,
+    stolen_refills: LocalCounter,
     /// Set by *other* CPUs under memory pressure; the owner checks it on
     /// every operation (the userspace stand-in for a reclaim IPI).
     drain: AtomicBool,
@@ -82,19 +87,6 @@ pub(crate) struct CpuSlot {
 // `CpuClaim` for this slot's CPU (see `CpuHandle::cache_mut`), which makes
 // all access single-threaded in practice. The atomic flag is safe to share.
 unsafe impl Sync for CpuSlot {}
-
-/// Per-node refill/spill attribution (arena-wide, not per class): how a
-/// node's CPUs refilled their caches and how much their shards spilled to
-/// the shared page layer. Gauges come from the shards themselves.
-pub(crate) struct NodeStats {
-    /// Refill chains taken from this node's own shard.
-    pub(crate) local_refills: EventCounter,
-    /// Refill chains stolen from a remote node's shard.
-    pub(crate) stolen_refills: EventCounter,
-    /// Blocks spilled from this node's shards down to the (shared)
-    /// coalesce-to-page layer — each one a frame-locality loss.
-    pub(crate) remote_spills: EventCounter,
-}
 
 pub(crate) struct ArenaInner {
     id: u64,
@@ -107,7 +99,11 @@ pub(crate) struct ArenaInner {
     /// `globals[class * nnodes + node]`. With one node this is exactly the
     /// old one-pool-per-class layout.
     globals: Box<[CachePadded<GlobalPool>]>,
-    node_stats: Box<[NodeStats]>,
+    /// Per node (arena-wide, not per class): blocks spilled from the
+    /// node's shards down to the (shared) coalesce-to-page layer — each one
+    /// a frame-locality loss. Shared, not per CPU: the maintenance thread
+    /// spills too.
+    remote_spills: Box<[EventCounter]>,
     pages: Box<[CachePadded<PageLayer>]>,
     slots: PerCpu<CpuSlot>,
     registry: Arc<CpuRegistry>,
@@ -229,13 +225,7 @@ impl KmemArena {
             }
         }
         let globals = globals.into_boxed_slice();
-        let node_stats = (0..nnodes)
-            .map(|_| NodeStats {
-                local_refills: EventCounter::new(),
-                stolen_refills: EventCounter::new(),
-                remote_spills: EventCounter::new(),
-            })
-            .collect();
+        let remote_spills = (0..nnodes).map(|_| EventCounter::new()).collect();
         let pages = config
             .classes
             .iter()
@@ -268,6 +258,8 @@ impl KmemArena {
                 .collect(),
             large_allocs: LocalCounter::new(),
             large_frees: LocalCounter::new(),
+            local_refills: LocalCounter::new(),
+            stolen_refills: LocalCounter::new(),
             drain: AtomicBool::new(false),
         });
         let sunk = (0..config.classes.len())
@@ -287,7 +279,7 @@ impl KmemArena {
                 vm,
                 topology,
                 globals,
-                node_stats,
+                remote_spills,
                 pages,
                 slots,
                 registry,
@@ -345,7 +337,7 @@ impl KmemArena {
             cpu,
             node: self.inner.topology.node_of(cpu),
             slot: NonNull::from(self.inner.slots.get(cpu)),
-            plain: self.inner.plain,
+            plain_id: if self.inner.plain { self.inner.id } else { 0 },
             claim,
             inner: Arc::clone(&self.inner),
             _not_sync: PhantomData,
@@ -443,14 +435,19 @@ impl KmemArena {
         let nodes = (0..inner.nnodes())
             .map(|n| {
                 let node = NodeId::new(n);
-                let stats = &inner.node_stats[n];
+                let (mut local_refills, mut stolen_refills) = (0, 0);
+                for cpu in inner.topology.cpus_of(node) {
+                    let slot = inner.slots.get(CpuId::new(cpu));
+                    local_refills += slot.local_refills.get();
+                    stolen_refills += slot.stolen_refills.get();
+                }
                 NodeCounts {
                     shard_blocks: (0..inner.classes.len())
                         .map(|class| inner.shard(class, node).len())
                         .sum(),
-                    local_refills: stats.local_refills.get(),
-                    stolen_refills: stats.stolen_refills.get(),
-                    remote_spills: stats.remote_spills.get(),
+                    local_refills,
+                    stolen_refills,
+                    remote_spills: inner.remote_spills[n].get(),
                 }
             })
             .collect();
@@ -519,7 +516,7 @@ impl KmemArena {
         maint.mailbox.try_drain(|key, _payload| {
             let spill_from = |class: usize, node: usize, spill: Option<Chain>| {
                 if let Some(spill) = spill {
-                    inner.node_stats[node].remote_spills.add(spill.len() as u64);
+                    inner.remote_spills[node].add(spill.len() as u64);
                     // SAFETY: spilled blocks are free blocks of `class`.
                     unsafe {
                         inner.pages[class].free_chain(&inner.vm, spill);
@@ -801,10 +798,13 @@ pub struct CpuHandle {
     /// This CPU's home node under the arena topology, cached so the
     /// refill and spill paths never recompute the mapping.
     node: NodeId,
-    /// This CPU's slot in `inner.slots` and the arena's `plain` flag,
-    /// resolved at registration; the flag picks the profile once per call.
+    /// This CPU's slot in `inner.slots` and the arena's profile, resolved
+    /// at registration. The profile is kept as the arena id a cookie must
+    /// carry to run the inlined hit: the arena's own where it is plain,
+    /// otherwise 0, which no arena has — so one compare answers for the
+    /// profile and for the cookie.
     slot: NonNull<CpuSlot>,
-    plain: bool,
+    plain_id: u64,
     /// `Cell` suppresses `Sync` while leaving the handle `Send`.
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
@@ -833,6 +833,13 @@ impl CpuHandle {
         KmemArena {
             inner: Arc::clone(&self.inner),
         }
+    }
+
+    /// Whether the arena runs the plain profile: picks, once per call, the
+    /// instance of the class paths to run.
+    #[inline(always)]
+    fn plain(&self) -> bool {
+        self.plain_id != 0
     }
 
     /// This CPU's slot.
@@ -931,10 +938,10 @@ impl CpuHandle {
 
     /// The paper's `KMEM_ALLOC_COOKIE`: the lean fast path for sizes
     /// resolved ahead of time. Like the macro, the hit expands at the call
-    /// site — the profile flag, the arena id, the drain flag, the class
-    /// bound, a pop from `main`, the counter; everything else (and every
-    /// 64th call, whose hit samples occupancy) is one call to the whole
-    /// path, decided before anything is counted or moved.
+    /// site — the arena id (which answers for the profile too), the drain
+    /// flag, the class bound, a pop from `main`, the counter; everything
+    /// else (and every 64th call, whose hit samples occupancy) is one call
+    /// to the whole path, decided before anything is counted or moved.
     #[inline(always)]
     pub fn alloc_cookie(&self, cookie: Cookie) -> Result<NonNull<u8>, AllocError> {
         if let Some(cs) = self.cookie_hit_slot(cookie) {
@@ -960,7 +967,7 @@ impl CpuHandle {
     #[inline(always)]
     fn cookie_hit_slot(&self, cookie: Cookie) -> Option<&ClassSlot> {
         let slot = self.slot();
-        if !self.plain || cookie.arena_id != self.inner.id || slot.drain.load(Ordering::Relaxed) {
+        if cookie.arena_id != self.plain_id || slot.drain.load(Ordering::Relaxed) {
             return None;
         }
         slot.classes.get(cookie.class as usize)
@@ -993,7 +1000,7 @@ impl CpuHandle {
     /// [`CpuHandle::alloc_class`] under this handle's profile.
     #[inline]
     fn alloc_class_as(&self, class: usize, size: usize) -> Result<NonNull<u8>, AllocError> {
-        if self.plain {
+        if self.plain() {
             self.alloc_class::<true>(class, size)
         } else {
             self.alloc_class::<false>(class, size)
@@ -1068,11 +1075,11 @@ impl CpuHandle {
     /// faults exercise every fall-through combination.
     fn take_chain(&self, class: usize, target: usize) -> Option<Chain> {
         let inner = &*self.inner;
-        let node_stats = &inner.node_stats[self.node.index()];
+        let slot = self.slot();
         // The shard consults `faults::GLOBAL_GET` itself, on both its CAS
         // fast path and its locked slow path.
         if let Some(chain) = inner.shard(class, self.node).get_chain() {
-            node_stats.local_refills.inc();
+            slot.local_refills.bump();
             return Some(chain);
         }
         // Work-stealing overflow: pick the remote shard with the most
@@ -1090,7 +1097,7 @@ impl CpuHandle {
                 .filter(|&(len, _)| len > 0);
             if let Some((_, n)) = victim {
                 if let Some(chain) = shards[n].steal_chain() {
-                    node_stats.stolen_refills.inc();
+                    slot.stolen_refills.bump();
                     return Some(chain);
                 }
             }
@@ -1391,7 +1398,7 @@ impl CpuHandle {
     unsafe fn free_class_as(&self, class: usize, block: *mut u8) -> Result<(), AllocError> {
         // SAFETY: forwarded caller contract.
         unsafe {
-            if self.plain {
+            if self.plain() {
                 self.free_class::<true>(class, block)
             } else {
                 self.free_class::<false>(class, block)
@@ -1468,7 +1475,7 @@ impl CpuHandle {
             if cache.push_main::<PLAIN>(park) {
                 None
             } else {
-                cache.free(park)
+                cache.free_as::<PLAIN>(park)
             }
         };
         if let Some(chain) = overflow {
@@ -1491,7 +1498,7 @@ impl CpuHandle {
     #[cold]
     fn return_chain(&self, class: usize, chain: Chain) {
         let pool = self.inner.shard(class, self.node);
-        let node_stats = &self.inner.node_stats[self.node.index()];
+        let remote_spills = &self.inner.remote_spills[self.node.index()];
         if let Some(maint) = &self.inner.maint {
             let node = self.node.index();
             if chain.len() == pool.target() {
@@ -1515,7 +1522,7 @@ impl CpuHandle {
             pool.put_odd(chain)
         };
         if let Some(spill) = spill {
-            node_stats.remote_spills.add(spill.len() as u64);
+            remote_spills.add(spill.len() as u64);
             // SAFETY: spilled blocks are free blocks of this class.
             unsafe {
                 self.inner.pages[class].free_chain(&self.inner.vm, spill);
@@ -1527,7 +1534,7 @@ impl CpuHandle {
             // trim to `gbltarget`, driving the spill/coalesce path at
             // arbitrary points in the schedule.
             if let Some(forced) = pool.spill_to(pool.gbltarget()) {
-                node_stats.remote_spills.add(forced.len() as u64);
+                remote_spills.add(forced.len() as u64);
                 // SAFETY: spilled blocks are free blocks of this class.
                 unsafe {
                     self.inner.pages[class].free_chain(&self.inner.vm, forced);
@@ -1691,7 +1698,7 @@ mod tests {
         // off for every handle of the arena.
         let plain = |cfg: KmemConfig| {
             let a = KmemArena::new(cfg).unwrap();
-            a.register_cpu().unwrap().plain
+            a.register_cpu().unwrap().plain()
         };
         let off = HardenedConfig::off();
         assert!(plain(KmemConfig::small()));

@@ -4,7 +4,9 @@
 //! in the kernel: the first word of a free block is the pointer to the next
 //! free block. This module is the single home of the raw reads and writes
 //! of that word, plus the poisoning that catches use-after-free and
-//! double-free.
+//! double-free. The poison lives in the second word; where no profile
+//! keeps poison there, the per-CPU layer keeps a jump pointer in it
+//! ([`HINTS`]).
 //!
 //! # Hardened link encoding
 //!
@@ -30,7 +32,8 @@
 //! These are exactly the conditions under which the kernel scribbles
 //! freelist links into memory.
 
-/// Minimum block size: one link word plus a poison word, with room spare.
+/// Minimum block size: the link word plus the word beside it (the poison,
+/// the global stack's stash, or a jump pointer).
 pub const MIN_BLOCK: usize = 16;
 
 /// Poison value written into the second word of freed blocks (all builds
@@ -218,6 +221,54 @@ pub unsafe fn take_stash(block: *mut u8, key: LinkKey) -> *mut u8 {
     // SAFETY: as in `write_stash`.
     unsafe { word.write(POISON) };
     val as *mut u8
+}
+
+/// Whether word 1 of a block on a plain per-CPU freelist carries a jump
+/// pointer (see [`crate::percpu`]). Builds with debug assertions keep their
+/// debug poison in that word, and the hardened profile its [`POISON`], so
+/// only the plain profile of an optimized build has the word to spare.
+pub(crate) const HINTS: bool = !cfg!(debug_assertions);
+
+/// Reads the jump pointer beside a free block's link. The value is
+/// advisory: whatever the word holds, it is fit for [`prefetch`] and for
+/// nothing else.
+///
+/// # Safety
+///
+/// `block` must satisfy the module-level free-block conditions.
+#[inline(always)]
+pub(crate) unsafe fn read_hint(block: *mut u8) -> *mut u8 {
+    // SAFETY: blocks are at least [`MIN_BLOCK`] bytes, so the second word
+    // is in bounds and allocator-owned.
+    unsafe { (block as *mut *mut u8).add(1).read() }
+}
+
+/// Writes the jump pointer beside a free block's link.
+///
+/// # Safety
+///
+/// `block` must satisfy the module-level free-block conditions, on a
+/// freelist whose second words nothing checks (see [`HINTS`]).
+#[inline(always)]
+pub(crate) unsafe fn write_hint(block: *mut u8, hint: *mut u8) {
+    // SAFETY: as in `read_hint`.
+    unsafe { (block as *mut *mut u8).add(1).write(hint) };
+}
+
+/// Asks for the line at `addr` to be brought into every cache level; a
+/// no-op off x86-64. `addr` is never dereferenced — a prefetch of an
+/// unmapped, non-canonical or null address retires without a fault — so any
+/// value is safe to pass.
+#[inline(always)]
+pub(crate) fn prefetch(addr: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint with no architectural effect; SSE is
+    // part of the x86-64 baseline.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(addr as *const i8)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
 }
 
 /// Marks `block` as freed (debug builds only — the default profile's

@@ -8,10 +8,11 @@
 //!
 //! In Rust the "macro" halves are [`crate::CpuHandle::alloc_cookie`] and
 //! [`crate::CpuHandle::free_cookie`]. What is inline, as in the paper, is
-//! the *hit* (`#[inline(always)]`): on a handle of a plain-profile arena
-//! — one flag, resolved at registration — an arena-id compare, the drain
-//! flag, the class bound, a pop from (or push onto) the `main` list of the
-//! (CPU, class) record the handle points at, and the counter. Everything
+//! the *hit* (`#[inline(always)]`): an arena-id compare — against an id
+//! that only a handle of a plain-profile arena holds, resolved at
+//! registration — the drain flag, the class bound, a pop from (or push
+//! onto) the `main` list of the (CPU, class) record the handle points at,
+//! and the counter. Everything
 //! else is a call to one `#[cold]` continuation per half that holds the
 //! whole path: an empty or full `main`, a drain request, a hardened or
 //! single-list arena, a foreign cookie, and every 64th call, whose hit

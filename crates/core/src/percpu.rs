@@ -16,12 +16,30 @@
 //! at least `target` operations of the same kind must happen before the
 //! global layer is touched again, so "the global layer will be accessed at
 //! most one time per target-number of accesses".
+//!
+//! # Jump pointers
+//!
+//! A block freed on one CPU and allocated on another costs the allocating
+//! CPU a cache miss per pop, and the misses are serial: the address of the
+//! next block is in the line still in flight. So a push onto `main` writes,
+//! beside the link, the address of the block [`HINT_DISTANCE`] positions
+//! further down, and a pop prefetches through that word — the lines of the
+//! next few blocks are then fetched side by side. The word is a hint and
+//! nothing more: it is never dereferenced, counted on or checked, and what
+//! a stale or overwritten one costs is a wasted prefetch. It exists only in
+//! the plain profile of a build without debug assertions
+//! ([`crate::block`] says why); DESIGN.md §2 has the ring's invariant.
 
 use kmem_smp::{ExclusionFlag, LocalCounter};
 
-use crate::block::LinkKey;
+use crate::block::{self, LinkKey};
 use crate::chain::{Chain, ChainFault};
 use crate::counters::counters;
+
+/// How far down its freelist a block's jump pointer reaches: a pop
+/// prefetches the block that will be popped this many pops later. A power
+/// of two — it is also the size of the ring the pointers are taken from.
+pub const HINT_DISTANCE: usize = 4;
 
 /// Number of buckets in the cache-occupancy histogram: bucket `i` counts
 /// samples where the cache held between `i/8` and `(i+1)/8` of its
@@ -119,6 +137,11 @@ pub enum QuarantineVerdict {
 pub struct CpuCache {
     main: Chain,
     aux: Chain,
+    /// Where the jump pointers come from: slot `p % HINT_DISTANCE` holds
+    /// the block last pushed at depth `p` of `main`, so a push at depth `p`
+    /// finds there the block `HINT_DISTANCE` below it. Kept here and not in
+    /// the chains, so it outlives the `main` → `aux` move.
+    ring: [*mut u8; HINT_DISTANCE],
     /// Bound on each half of the split freelist.
     target: usize,
     /// `false` selects the single-list ablation (no `aux`; overflow walks
@@ -155,6 +178,7 @@ impl CpuCache {
         CpuCache {
             main: Chain::new_keyed(key),
             aux: Chain::new_keyed(key),
+            ring: [core::ptr::null_mut(); HINT_DISTANCE],
             target,
             split,
             quarantine: vec![core::ptr::null_mut(); quarantine].into_boxed_slice(),
@@ -211,7 +235,34 @@ impl CpuCache {
     pub(crate) unsafe fn pop_main<const PLAIN: bool>(&mut self) -> Option<*mut u8> {
         let _irq = self.excl.enter();
         // SAFETY: forwarded caller contract.
-        unsafe { self.main.pop_as::<PLAIN>() }
+        let block = unsafe { self.main.pop_as::<PLAIN>() }?;
+        if PLAIN && block::HINTS {
+            // SAFETY: `block` was a free block until this pop. Its second
+            // word may hold anything; it is only ever prefetched.
+            block::prefetch(unsafe { block::read_hint(block) });
+        }
+        Some(block)
+    }
+
+    /// Pushes `block` onto `main`; under `PLAIN`, where the word is free
+    /// for it, with its jump pointer — which the ring then holds for the
+    /// block `HINT_DISTANCE` pushes later.
+    ///
+    /// # Safety
+    ///
+    /// As for [`CpuCache::free`]; `PLAIN` only on a cache created with
+    /// [`LinkKey::PLAIN`] whose blocks' second words nothing checks.
+    #[inline(always)]
+    unsafe fn push_hinted<const PLAIN: bool>(&mut self, block: *mut u8) {
+        let _irq = self.excl.enter();
+        if PLAIN && block::HINTS {
+            let slot = &mut self.ring[self.main.len() % HINT_DISTANCE];
+            // SAFETY: forwarded caller contract.
+            unsafe { block::write_hint(block, *slot) };
+            *slot = block;
+        }
+        // SAFETY: forwarded caller contract.
+        unsafe { self.main.push_as::<PLAIN>(block) };
     }
 
     /// Installs a replenishment chain from the global layer and pops one
@@ -251,13 +302,25 @@ impl CpuCache {
     /// the caller, not in any list.
     #[inline]
     pub unsafe fn free(&mut self, block: *mut u8) -> Option<Chain> {
+        // SAFETY: forwarded caller contract; `false` claims nothing.
+        unsafe { self.free_as::<false>(block) }
+    }
+
+    /// The body of [`CpuCache::free`]; under `PLAIN` the pushed block gets
+    /// its jump pointer like one pushed by [`CpuCache::push_main`].
+    ///
+    /// # Safety
+    ///
+    /// As for [`CpuCache::free`]; `PLAIN` only on a split cache created
+    /// with [`LinkKey::PLAIN`] whose blocks' second words nothing checks.
+    pub(crate) unsafe fn free_as<const PLAIN: bool>(&mut self, block: *mut u8) -> Option<Chain> {
         if !self.split {
             // SAFETY: forwarded caller contract.
             return unsafe { self.free_single_list(block) };
         }
-        let _irq = self.excl.enter();
         let mut overflow = None;
         if self.main.len() == self.target {
+            let _irq = self.excl.enter();
             // "If adding another block would cause the main list to exceed
             // target, main is moved to aux. If aux is not empty, its
             // contents are first returned to the global layer."
@@ -265,9 +328,18 @@ impl CpuCache {
                 overflow = Some(self.aux.take());
             }
             self.aux = self.main.take();
+            if PLAIN && block::HINTS {
+                // The ring holds the top `HINT_DISTANCE` blocks of what is
+                // now `aux`, by depth there; turn it so that depth `j` of
+                // the new `main` finds the block `HINT_DISTANCE` pops on.
+                let old = self.ring;
+                for (j, slot) in self.ring.iter_mut().enumerate() {
+                    *slot = old[(self.target + j) % HINT_DISTANCE];
+                }
+            }
         }
         // SAFETY: forwarded caller contract.
-        unsafe { self.main.push(block) };
+        unsafe { self.push_hinted::<PLAIN>(block) };
         overflow
     }
 
@@ -277,16 +349,15 @@ impl CpuCache {
     /// # Safety
     ///
     /// As for [`CpuCache::free`]; `PLAIN` only on a split cache created
-    /// with [`LinkKey::PLAIN`].
+    /// with [`LinkKey::PLAIN`] whose blocks' second words nothing checks.
     #[inline(always)]
     pub(crate) unsafe fn push_main<const PLAIN: bool>(&mut self, block: *mut u8) -> bool {
         debug_assert!(!PLAIN || self.split);
         if self.main.len() == self.target || !(PLAIN || self.split) {
             return false;
         }
-        let _irq = self.excl.enter();
         // SAFETY: forwarded caller contract.
-        unsafe { self.main.push_as::<PLAIN>(block) };
+        unsafe { self.push_hinted::<PLAIN>(block) };
         true
     }
 

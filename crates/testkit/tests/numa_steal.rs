@@ -215,6 +215,14 @@ fn four_node_torture_round_is_conserving() {
         assert!(stolen > 0, "4-node torture never stole: {snap:?}");
     }
     assert!(local > 0, "no refill ever hit a local shard: {snap:?}");
+    // Each CPU counts its own refills and a node's row sums its CPUs':
+    // every chain a shard handed out is in exactly one of them.
+    let served: u64 = snap
+        .classes
+        .iter()
+        .map(|c| c.global.get - c.global.get_miss)
+        .sum();
+    assert_eq!(local + stolen, served, "{snap:?}");
 
     arena.reclaim();
     verify_empty(&arena);

@@ -110,6 +110,10 @@ echo "==> hardened profile (release): detection guards + torture round"
 # checked at every phase boundary.
 cargo test -q --release --offline -p kmem-testkit --test misuse
 cargo test -q --release --offline -p kmem-testkit --test hardened
+# Jump pointers exist only where nothing else wants a free block's second
+# word — the plain profile, built without debug assertions — so the tests
+# of what they hold and of how little they are trusted need this build too.
+cargo test -q --release --offline -p kmem-testkit --test hints
 KMEM_TORTURE_HARDENED=1 KMEM_TORTURE_FAULTS=1 \
     cargo test -q --release --offline -p kmem-testkit --test torture \
     fault_injection

@@ -82,6 +82,16 @@ fn live_snapshots_under_churn_hold_their_invariants() {
     // Everything was freed and every worker's handle-drop flushed: the
     // counters must balance exactly.
     assert_eq!(end.total_allocs() - failed(&end), end.total_frees());
+    // The node's refill row is the sum of what its CPUs each counted for
+    // themselves: every chain the global layer handed out, none stolen.
+    let served: u64 = end
+        .classes
+        .iter()
+        .map(|c| c.global.get - c.global.get_miss)
+        .sum();
+    assert!(served > 0);
+    assert_eq!(end.nodes[0].local_refills, served);
+    assert_eq!(end.nodes[0].stolen_refills, 0);
 }
 
 fn failed(s: &kmem::KmemSnapshot) -> u64 {
@@ -129,6 +139,8 @@ fn quiescent_deltas_match_hand_counted_ground_truth() {
     // Refill accounting is exact at quiescence, and every refill chain
     // landed in this class's per-CPU cache.
     assert_eq!(mine.refill + mine.alloc_fail, mine.alloc_miss);
+    let global = &delta.classes[class64].global;
+    assert_eq!(delta.nodes[0].local_refills, global.get - global.get_miss);
     // Nothing ran on the other CPU or in other classes.
     let other_cpu = 1 - cpu.cpu().index();
     assert_eq!(delta.cpu_class(other_cpu, class64).alloc, 0);
