@@ -1,9 +1,9 @@
 //! Tail latency of the slow path: maintenance core vs inline drains.
 //!
 //! The maintenance core does not make the *mean* allocation cheaper — it
-//! moves the locked global-layer work (trims, regroups, spills) off the
-//! hot CPU's critical path and onto a background thread, in exchange for
-//! one wait-free mailbox post. The honest win criterion is therefore the
+//! moves the locked global-layer work (the settle a put leaves owed:
+//! regroup, trim, spill) off the hot CPU's critical path and onto a
+//! background thread, in exchange for one wait-free mailbox post. The honest win criterion is therefore the
 //! *tail*: the p99/p999 of the per-iteration latency distribution, where
 //! the inline configuration pays the lock-and-walk cost every time a
 //! flush crosses the global layer and the core configuration pays a
@@ -17,7 +17,7 @@
 //! `target` frees and the global layer sits past its bound, so the
 //! inline profile pays the locked trim-and-spill into the page layer on
 //! ~6% of iterations — well above the p99 cut — while the core profile
-//! pushes the same chains wait-free and posts a deduplicated `Trim`.
+//! pushes the same chains lock-free and posts a deduplicated `Settle`.
 //! Every iteration is timed individually; the sides are identical
 //! except `MaintConfig` and the presence of the background pump.
 //!

@@ -136,8 +136,9 @@ pub(crate) struct ArenaInner {
     /// Encoded-link detections (implausible decodes, sunk chains).
     encode_faults: EventCounter,
     /// Maintenance-core state (mailbox + key layout) when the arena was
-    /// configured with [`crate::config::MaintConfig::on`]; `None` keeps
-    /// every slow-path site on its classic inline behaviour.
+    /// configured with [`crate::config::MaintConfig::on`]; `None` runs
+    /// every [`MaintWork`] item inline. Read on the slow path only by
+    /// [`ArenaInner::schedule`].
     maint: Option<MaintState>,
 }
 
@@ -512,43 +513,9 @@ impl KmemArena {
         let Some(maint) = &inner.maint else {
             return 0;
         };
-        let keys = maint.keys;
-        maint.mailbox.try_drain(|key, _payload| {
-            let spill_from = |class: usize, node: usize, spill: Option<Chain>| {
-                if let Some(spill) = spill {
-                    inner.remote_spills[node].add(spill.len() as u64);
-                    // SAFETY: spilled blocks are free blocks of `class`.
-                    unsafe {
-                        inner.pages[class].free_chain(&inner.vm, spill);
-                    }
-                }
-            };
-            match keys.work(key) {
-                MaintWork::Regroup { class, node } => {
-                    let pool = inner.shard(class, NodeId::new(node));
-                    spill_from(class, node, pool.maint_regroup());
-                }
-                MaintWork::Trim { class, node } => {
-                    let pool = inner.shard(class, NodeId::new(node));
-                    spill_from(class, node, pool.maint_trim());
-                }
-                MaintWork::Spill { class, node } => {
-                    let pool = inner.shard(class, NodeId::new(node));
-                    let bound = pool.gbltarget();
-                    spill_from(class, node, pool.maint_spill(bound));
-                }
-                MaintWork::DrainCpu { cpu } => {
-                    inner
-                        .slots
-                        .get(CpuId::new(cpu))
-                        .drain
-                        .store(true, Ordering::Relaxed);
-                }
-                MaintWork::Coalesce { class } => {
-                    inner.pages[class].flush_full_pages(&inner.vm);
-                }
-            }
-        })
+        maint
+            .mailbox
+            .try_drain(|key, _payload| inner.run(maint.keys.work(key)))
     }
 
     /// Spawns the maintenance core: a thread that pumps
@@ -616,6 +583,42 @@ impl Drop for MaintPump {
 }
 
 impl ArenaInner {
+    /// Where slow-path work runs: posted to the maintenance core when the
+    /// arena has one, run inline on the calling CPU otherwise.
+    fn schedule(&self, work: MaintWork) {
+        match &self.maint {
+            Some(maint) => maint.post(work),
+            None => self.run(work),
+        }
+    }
+
+    /// Runs one work item on the calling thread, with the same body
+    /// wherever [`ArenaInner::schedule`] placed it. Never posts, so a
+    /// pump's drain terminates.
+    fn run(&self, work: MaintWork) {
+        let (class, node, spill) = match work {
+            MaintWork::Settle { class, node } => {
+                (class, node, self.shard(class, NodeId::new(node)).settle())
+            }
+            MaintWork::Spill { class, node } => {
+                let pool = self.shard(class, NodeId::new(node));
+                (class, node, pool.spill_to(pool.gbltarget()))
+            }
+            MaintWork::DrainCpu { cpu } => {
+                let slot = self.slots.get(CpuId::new(cpu));
+                slot.drain.store(true, Ordering::Relaxed);
+                return;
+            }
+        };
+        // The one spill sink: every block a shard sheds is counted against
+        // its node on the way to the (shared) coalesce-to-page layer.
+        if let Some(spill) = spill {
+            self.remote_spills[node].add(spill.len() as u64);
+            // SAFETY: spilled blocks are free blocks of `class`.
+            unsafe { self.pages[class].free_chain(&self.vm, spill) };
+        }
+    }
+
     /// Maintenance-core counters for snapshots: mailbox flow plus the
     /// epoch-batched drain counters summed over every global shard.
     pub(crate) fn maint_counts(&self) -> MaintCounts {
@@ -1125,44 +1128,23 @@ impl CpuHandle {
             match rung {
                 1 => {
                     // Rung 1: flush our own caches and ask every other CPU
-                    // to drain — posted once per climb, not per attempt.
-                    // With the maintenance core the requests go through the
-                    // mailbox (one dedup key per CPU), so a climb storm
-                    // across CPUs still collapses to one item per target.
+                    // to drain — once per climb, not per attempt. Through
+                    // the mailbox (one dedup key per CPU) a climb storm
+                    // across CPUs collapses to one item per target.
                     self.flush_with_cause(FlushCause::LowMemory);
-                    if let Some(maint) = &self.inner.maint {
-                        for (cpu, _) in self.inner.slots.iter() {
-                            if cpu != self.cpu {
-                                maint.post(MaintWork::DrainCpu { cpu: cpu.index() });
-                            }
+                    for (cpu, _) in self.inner.slots.iter() {
+                        if cpu != self.cpu {
+                            self.inner
+                                .schedule(MaintWork::DrainCpu { cpu: cpu.index() });
                         }
-                    } else {
-                        self.request_drain();
                     }
                 }
                 2 => {
                     // Rung 2: trim every global shard to `gbltarget` so
-                    // the page layer can coalesce and release frames —
-                    // posted per shard (plus a coalesce pass per class)
-                    // when the maintenance core owns the locked paths.
-                    let nn = self.inner.nnodes();
-                    if let Some(maint) = &self.inner.maint {
-                        for class in 0..self.inner.classes.len() {
-                            for node in 0..nn {
-                                maint.post(MaintWork::Spill { class, node });
-                            }
-                            maint.post(MaintWork::Coalesce { class });
-                        }
-                    } else {
-                        for (idx, pool) in self.inner.globals.iter().enumerate() {
-                            if let Some(spill) = pool.spill_to(pool.gbltarget()) {
-                                let class = idx / nn;
-                                // SAFETY: spilled blocks are free blocks of
-                                // `class` (shards are node-minor per class).
-                                unsafe {
-                                    self.inner.pages[class].free_chain(&self.inner.vm, spill);
-                                }
-                            }
+                    // the page layer can coalesce and release frames.
+                    for class in 0..self.inner.classes.len() {
+                        for node in 0..self.inner.nnodes() {
+                            self.inner.schedule(MaintWork::Spill { class, node });
                         }
                     }
                 }
@@ -1488,58 +1470,22 @@ impl CpuHandle {
         Ok(())
     }
 
-    /// Hands an overflow chain to this node's global shard, cascading any
-    /// spill into the (shared) coalesce-to-page layer.
-    ///
-    /// With the maintenance core enabled the spill half is deferred: the
-    /// chain is pushed (or appended) wait-free and a `Trim`/`Regroup` item
-    /// is posted instead of taking the trim path inline, so the hot CPU
-    /// never pays for the locked regroup/spill work.
+    /// Hands an overflow chain to this node's global shard; a settle the
+    /// put leaves owed (regroup, trim, spill into the shared
+    /// coalesce-to-page layer) runs wherever [`ArenaInner::schedule`]
+    /// places it — with the maintenance core, off this CPU.
     #[cold]
     fn return_chain(&self, class: usize, chain: Chain) {
-        let pool = self.inner.shard(class, self.node);
-        let remote_spills = &self.inner.remote_spills[self.node.index()];
-        if let Some(maint) = &self.inner.maint {
-            let node = self.node.index();
-            if chain.len() == pool.target() {
-                if pool.put_chain_deferred(chain) {
-                    maint.post(MaintWork::Trim { class, node });
-                }
-            } else if pool.put_odd_deferred(chain) {
-                maint.post(MaintWork::Regroup { class, node });
-            }
-            if self.inner.faults.hit(faults::GLOBAL_SPILL) {
-                // The inline profile forces an early trim here; the
-                // deferred profile posts the equivalent spill item so the
-                // fault schedule still drives the spill/coalesce path.
-                maint.post(MaintWork::Spill { class, node });
-            }
-            return;
-        }
-        let spill = if chain.len() == pool.target() {
-            pool.put_chain(chain)
-        } else {
-            pool.put_odd(chain)
-        };
-        if let Some(spill) = spill {
-            remote_spills.add(spill.len() as u64);
-            // SAFETY: spilled blocks are free blocks of this class.
-            unsafe {
-                self.inner.pages[class].free_chain(&self.inner.vm, spill);
-            }
+        let node = self.node.index();
+        if self.inner.shard(class, self.node).put(chain) {
+            self.inner.schedule(MaintWork::Settle { class, node });
         }
         if self.inner.faults.hit(faults::GLOBAL_SPILL) {
             // The spill boundary cannot "fail" without dropping blocks, so
             // injection here perturbs *placement* instead: force an early
             // trim to `gbltarget`, driving the spill/coalesce path at
             // arbitrary points in the schedule.
-            if let Some(forced) = pool.spill_to(pool.gbltarget()) {
-                remote_spills.add(forced.len() as u64);
-                // SAFETY: spilled blocks are free blocks of this class.
-                unsafe {
-                    self.inner.pages[class].free_chain(&self.inner.vm, forced);
-                }
-            }
+            self.inner.schedule(MaintWork::Spill { class, node });
         }
         // No relax here: return_chain runs inside rung-1 flushes, and a
         // de-escalation driven by the escalation's own actions would undo

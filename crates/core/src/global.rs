@@ -11,7 +11,7 @@
 //! common CPU-to-CPU recycling pattern touches — live on a **lock-free
 //! Treiber stack** whose head is a generation-tagged word
 //! ([`kmem_smp::TaggedAtomic`]): [`GlobalPool::get_chain`] is a single
-//! CAS pop and [`GlobalPool::put_chain`] of an exact-`target` chain is a
+//! CAS pop and [`GlobalPool::put`] of an exact-`target` chain is a
 //! single CAS push, so the last lock on the alloc/free fast path is
 //! gone. Chains stay intact on the stack by threading the stack link
 //! through each chain head's first word and stashing the displaced
@@ -19,17 +19,23 @@
 //! see [`crate::block::write_stash`].
 //!
 //! Everything else — the *bucket list* that regroups odd-sized chains
-//! (from low-memory cache flushes), short pools, bound-exceeding puts,
-//! and pressure-ladder spills — stays behind a narrow [`SpinLock`]ed
-//! slow path. The `2 * gbltarget` bound is approximated on the fast path
-//! by a block-count estimate *derived* from counters the pool already
-//! keeps ([`GlobalPool::stack_blocks`] — no dedicated count, no extra
-//! hot-path RMW); exact enforcement happens on the slow path, so
-//! concurrent fast puts can transiently overshoot the bound by at most
-//! one chain per CPU (see DESIGN.md §9 for the argument).
-//! Excess goes to the coalesce-to-page layer and an empty pool is
-//! replenished from it — both via return values, so the page layer is
-//! never entered while the slow-path lock is held.
+//! (from low-memory cache flushes), short pools, and trims — stays
+//! behind a narrow [`SpinLock`]ed slow path. The policy is split in two
+//! halves so the caller chooses where the second runs: [`GlobalPool::put`]
+//! lands the chain (a lock-free push, or an O(1) locked append for an
+//! odd chain) and reports whether the pool owes a
+//! [`GlobalPool::settle`] — the regroup plus the trim to `2 *
+//! gbltarget`. The arena settles inline or hands the settle to the
+//! maintenance core; [`GlobalPool::put_chain`] and
+//! [`GlobalPool::put_odd`] are the two halves back to back. The bound is
+//! judged by a block-count estimate *derived* from counters the pool
+//! already keeps ([`GlobalPool::stack_blocks`] — no dedicated count, no
+//! extra hot-path RMW) and enforced exactly by the settle, so concurrent
+//! puts can transiently overshoot it by at most one chain per CPU (see
+//! DESIGN.md §9 for the argument). Excess goes to the coalesce-to-page
+//! layer and an empty pool is replenished from it — both via return
+//! values, so the page layer is never entered while the slow-path lock
+//! is held.
 
 use core::ptr;
 use core::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -72,10 +78,12 @@ pub struct GlobalStats {
     pub get_short_deficit: EventCounter,
     /// Chain requests that fell through to the coalesce-to-page layer.
     pub get_miss: EventCounter,
-    /// Exact-`target` puts served entirely by the lock-free CAS push.
+    /// Exact-`target` puts within the bound: one lock-free CAS push,
+    /// nothing owed.
     pub put_fast: EventCounter,
-    /// Puts that took the locked slow path (odd chains, bound-exceeding
-    /// puts).
+    /// Puts that owe the slow path: odd chains (a locked append) and
+    /// bound-exceeding exact chains (a lock-free push that owes a
+    /// settle), wherever that settle then runs.
     pub put_slow: EventCounter,
     /// Puts that took the odd-sized bucket path (low-memory flushes).
     pub put_odd: EventCounter,
@@ -91,13 +99,12 @@ pub struct GlobalStats {
     /// Failed tag-CAS attempts on the Treiber stack head (both pops and
     /// pushes; monotone, and zero without contention).
     pub cas_retries: EventCounter,
-    /// Epoch-batched stack detaches ([`GlobalPool::detach_stack_locked`]):
-    /// each one moved *every* stacked chain with a single tagged CAS and
-    /// settled the slow-path block account with a single RMW.
+    /// Epoch-batched stack detaches ([`GlobalPool::drain_all`]): each one
+    /// moved *every* stacked chain with a single tagged CAS and settled
+    /// the slow-path block account with a single RMW.
     pub batch_drains: EventCounter,
     /// Chains moved by batched detaches. `batched_chains / batch_drains`
-    /// is the per-CAS amortization the maintenance core achieves over the
-    /// one-CAS-per-chain pop loop it replaced.
+    /// is the per-CAS amortization over a one-CAS-per-chain pop loop.
     pub batched_chains: EventCounter,
 }
 
@@ -152,9 +159,10 @@ counters! {
         /// Chains returned by per-CPU caches; derived as
         /// `put_fast + put_slow` from the same sweep.
         counter put: u64,
-        /// Exact-`target` puts served entirely by the lock-free CAS push.
+        /// Exact-`target` puts within the bound (one lock-free CAS push).
         counter put_fast: u64,
-        /// Puts that took the locked slow path.
+        /// Puts that owed the slow path: odd chains and bound-exceeding
+        /// exact chains.
         counter put_slow: u64,
         /// Puts through the odd-sized bucket path.
         counter put_odd: u64,
@@ -232,10 +240,12 @@ pub struct GlobalPool {
     /// Net blocks the *slow path* has moved onto (+) or off (−) the
     /// stack: bound-exceeding puts and regrouped bucket chains add
     /// before pushing; trims, drains, and the under-lock get retry
-    /// subtract after popping. Written only by bucket-lock holders, read
-    /// lock-free by [`GlobalPool::stack_blocks`]. Fast-path traffic is
-    /// *not* tracked here — it is derived from `put_fast`/`get_fast`, so
-    /// the fast path pays no extra RMW for the block count.
+    /// subtract after popping. Subtractions and regroup additions run
+    /// under the bucket lock; a bound-exceeding put adds without it, but
+    /// still before its push is published. Read lock-free by
+    /// [`GlobalPool::stack_blocks`]. Fast-path traffic is *not* tracked
+    /// here — it is derived from `put_fast`/`get_fast`, so the fast path
+    /// pays no extra RMW for the block count.
     slow_net: AtomicI64,
     /// The slow path: the odd-sized bucket list awaiting regrouping,
     /// behind the pool's only lock. Holding this lock also serializes
@@ -461,7 +471,8 @@ impl GlobalPool {
 
     /// Slow-path push: accounts the chain in `slow_net` *before*
     /// publishing it, so [`GlobalPool::stack_blocks`] never understates.
-    /// Caller must hold the bucket lock.
+    /// Runs under the bucket lock (regroups) or lock-free (a
+    /// bound-exceeding [`GlobalPool::put`]).
     fn push_stack_slow(&self, chain: Chain) {
         self.slow_net
             .fetch_add(chain.len() as i64, Ordering::Release);
@@ -481,19 +492,17 @@ impl GlobalPool {
     /// with a *single* tagged CAS (swap the head to null), rebuilds the
     /// run privately, and settles the slow-path block account with a
     /// *single* RMW — instead of one CAS plus one `fetch_sub` per chain.
-    /// This is what the maintenance core drains through: a bulk drain of
-    /// N chains costs O(1) shared-line RMWs on the stack head no matter
-    /// how large N is (probe-asserted in the tests below).
+    /// A bulk drain of N chains costs O(1) shared-line RMWs on the stack
+    /// head no matter how large N is (probe-asserted in the tests below).
     ///
-    /// Returns the merged chain and the number of chains it contained.
     /// Caller must hold the bucket lock (the `slow_net` convention); the
     /// walk itself touches only blocks the CAS transferred to us.
-    fn detach_stack_locked(&self) -> (Chain, usize) {
+    fn detach_stack_locked(&self) -> Chain {
         let mut all = Chain::new_keyed(self.key);
         let mut cur = self.stack.load();
         let run = loop {
             if cur.is_null() {
-                return (all, 0);
+                return all;
             }
             match self.stack.compare_exchange(cur, ptr::null_mut()) {
                 Ok(_) => break cur.ptr(),
@@ -524,33 +533,7 @@ impl GlobalPool {
             .fetch_sub((chains * self.target) as i64, Ordering::Release);
         self.stats.batch_drains.inc();
         self.stats.batched_chains.add(chains as u64);
-        (all, chains)
-    }
-
-    /// The batched analogue of [`GlobalPool::trim_locked`], used by the
-    /// maintenance core: one detach CAS pulls the whole stack, exact
-    /// arithmetic decides the spill, and the remainder regroups back. The
-    /// re-push CASes run on the maintenance core, not a hot CPU. Caller
-    /// holds the bucket lock; counter-free like `trim_locked`.
-    fn trim_batched_locked(&self, bucket: &mut Chain, bound: usize) -> Option<Chain> {
-        if self.stack_blocks() + bucket.len() <= bound {
-            return None;
-        }
-        let (mut pool_blocks, _chains) = self.detach_stack_locked();
-        pool_blocks.append(bucket);
-        let total = pool_blocks.len();
-        if total <= bound {
-            // The estimate over-stated (in-flight fast puts); put
-            // everything back and let the next crossing re-judge.
-            bucket.append(&mut pool_blocks);
-            self.regroup(bucket);
-            return None;
-        }
-        let spill = pool_blocks.split_first(total - bound);
-        debug_assert_eq!(spill.len(), total - bound);
-        bucket.append(&mut pool_blocks);
-        self.regroup(bucket);
-        Some(spill)
+        all
     }
 
     /// Fetches a chain for a per-CPU cache.
@@ -643,26 +626,23 @@ impl GlobalPool {
         Some(chain)
     }
 
-    /// Accepts an exactly-`target`-sized chain from a per-CPU cache.
+    /// Accepts a chain from a per-CPU cache and returns whether the pool
+    /// now owes a [`GlobalPool::settle`], which the caller runs inline or
+    /// hands to the maintenance core.
     ///
-    /// The common case is a single tag-CAS push — no lock. The derived
-    /// block-count estimate ([`GlobalPool::stack_blocks`]) approximates
-    /// the `2 * gbltarget` bound: a put that would exceed it takes the
-    /// locked slow path, which pushes the chain and then trims the pool
-    /// exactly. Concurrent fast puts can overshoot transiently by at
-    /// most one chain per CPU.
-    ///
-    /// A chain of any other length is routed through the bucket list
-    /// instead of corrupting the ready-chain stack (the internal callers
-    /// always pass exact chains; the routing keeps the stack's invariant —
-    /// every stacked chain holds exactly `target` blocks — intact under
-    /// misuse).
-    ///
-    /// Returns the excess to push down to the coalesce-to-page layer when
-    /// the pool exceeds `2 * gbltarget` blocks.
-    pub fn put_chain(&self, chain: Chain) -> Option<Chain> {
+    /// * An exact-`target` chain within the `2 * gbltarget` bound (judged
+    ///   by [`GlobalPool::bound_estimate`]) is one tag-CAS push: no lock,
+    ///   nothing owed.
+    /// * An exact chain over the bound still pushes lock-free — `slow_net`
+    ///   rises before the push is published — but counts as `put_slow`
+    ///   and owes the trim. Concurrent puts can overshoot the bound
+    ///   transiently by at most one chain per CPU.
+    /// * A chain of any other length goes to the bucket list
+    ///   ([`GlobalPool::append`]), so the stack only ever holds exact
+    ///   chains, even under misuse.
+    pub fn put(&self, chain: Chain) -> bool {
         if chain.len() != self.target {
-            return self.put_odd(chain);
+            return self.append(chain);
         }
         if self.bound_estimate() + self.target <= 2 * self.gbltarget {
             // The fast path's only counter write; `put` is derived, and
@@ -671,59 +651,18 @@ impl GlobalPool {
             // pop-then-inc), keeping the estimate conservative.
             self.stats.put_fast.inc();
             self.push_stack(chain);
-            return None;
+            return false;
         }
         self.stats.put_slow.inc();
-        let mut bucket = self.bucket.lock();
         self.push_stack_slow(chain);
-        self.spill_locked(&mut bucket)
+        true
     }
 
-    /// Accepts an odd-sized chain (low-memory flushes, partial refills
-    /// handed back). Blocks land in the bucket list, which regroups them
-    /// into `target`-sized chains pushed back onto the lock-free stack.
-    pub fn put_odd(&self, mut chain: Chain) -> Option<Chain> {
-        if chain.is_empty() {
-            return None;
-        }
-        self.stats.put_slow.inc();
-        self.stats.put_odd.inc();
-        let mut bucket = self.bucket.lock();
-        bucket.append(&mut chain);
-        self.regroup(&mut bucket);
-        self.spill_locked(&mut bucket)
-    }
-
-    /// Deferred-maintenance put of an exact-`target` chain: *always*
-    /// pushes wait-free (the same counted fast-path push as
-    /// [`GlobalPool::put_chain`]'s common case, so the derived block
-    /// estimate stays exact) and returns whether the pool is now over its
-    /// `2 * gbltarget` bound. On `true` the caller posts a `Trim` work
-    /// item to the maintenance mailbox instead of trimming inline — the
-    /// hot CPU never takes the bucket lock on this path. The bound
-    /// overshoots transiently until the maintenance core drains the trim;
-    /// the arena's invariant walker is run after the pump in maintenance
-    /// mode (DESIGN.md §13).
-    ///
-    /// A wrong-length chain routes through
-    /// [`GlobalPool::put_odd_deferred`], mirroring `put_chain`'s routing.
-    pub fn put_chain_deferred(&self, chain: Chain) -> bool {
-        if chain.len() != self.target {
-            return self.put_odd_deferred(chain);
-        }
-        let over = self.bound_estimate() + self.target > 2 * self.gbltarget;
-        self.stats.put_fast.inc();
-        self.push_stack(chain);
-        over
-    }
-
-    /// Deferred-maintenance odd put: blocks land in the bucket with one
-    /// O(1) lock-append — no regroup walk, no trim — and the caller posts
-    /// a `Regroup` work item. Returns whether maintenance is needed
-    /// (always, for a non-empty chain; the mailbox dedups the storm).
-    /// Gets stay correct meanwhile: the locked get path serves straight
-    /// from the un-regrouped bucket.
-    pub fn put_odd_deferred(&self, mut chain: Chain) -> bool {
+    /// The odd-chain put (low-memory flushes, partial refills handed
+    /// back): an O(1) append to the bucket list under the lock. Owes a
+    /// settle only if the bucket now holds a chain's worth or the pool is
+    /// over its bound.
+    fn append(&self, mut chain: Chain) -> bool {
         if chain.is_empty() {
             return false;
         }
@@ -731,39 +670,53 @@ impl GlobalPool {
         self.stats.put_odd.inc();
         let mut bucket = self.bucket.lock();
         bucket.append(&mut chain);
-        true
+        bucket.len() >= self.target || self.stack_blocks() + bucket.len() > 2 * self.gbltarget
     }
 
-    /// Maintenance-core trim to the standard `2 * gbltarget` bound via
-    /// the epoch-batched detach — the deferred half of a bound-exceeding
-    /// put, with the same attribution as the inline path (`put_miss`,
-    /// `spill_blocks`).
-    pub fn maint_trim(&self) -> Option<Chain> {
-        let mut bucket = self.bucket.lock();
-        let spill = self.trim_batched_locked(&mut bucket, 2 * self.gbltarget)?;
-        drop(bucket);
-        self.stats.put_miss.inc();
-        self.stats.spill_blocks.add(spill.len() as u64);
-        Some(spill)
+    /// The slow half of a put: regroup the bucket list, then trim the
+    /// pool to exactly `2 * gbltarget` blocks. Returns the spill for the
+    /// caller to push to the coalesce-to-page layer, counted in
+    /// `put_miss`. A settle that finds nothing owed changes nothing.
+    pub fn settle(&self) -> Option<Chain> {
+        self.trim(2 * self.gbltarget, &self.stats.put_miss)
     }
 
-    /// Maintenance-core regroup of the bucket list (the deferred half of
-    /// an odd put), then the standard bound trim — identical tail to the
-    /// inline [`GlobalPool::put_odd`].
-    pub fn maint_regroup(&self) -> Option<Chain> {
+    /// [`GlobalPool::put`] followed, when owed, by [`GlobalPool::settle`]:
+    /// returns the spill, if any.
+    pub fn put_chain(&self, chain: Chain) -> Option<Chain> {
+        if self.put(chain) {
+            self.settle()
+        } else {
+            None
+        }
+    }
+
+    /// [`GlobalPool::put_chain`] through the bucket list, whatever the
+    /// chain's length.
+    pub fn put_odd(&self, chain: Chain) -> Option<Chain> {
+        if self.append(chain) {
+            self.settle()
+        } else {
+            None
+        }
+    }
+
+    /// Trims the pool down to `bound` blocks on behalf of the pressure
+    /// ladder, returning the spill for the caller to push to the
+    /// coalesce-to-page layer. `None` when the pool is already within
+    /// bounds. Counted in `pressure_spills`, not `put_miss`.
+    pub fn spill_to(&self, bound: usize) -> Option<Chain> {
+        self.trim(bound, &self.stats.pressure_spills)
+    }
+
+    /// Regroup, then trim to `bound` with [`GlobalPool::trim_locked`],
+    /// attributing a non-empty spill to `cause` and `spill_blocks`.
+    fn trim(&self, bound: usize, cause: &EventCounter) -> Option<Chain> {
         let mut bucket = self.bucket.lock();
         self.regroup(&mut bucket);
-        self.spill_locked(&mut bucket)
-    }
-
-    /// Maintenance-core pressure spill down to `bound` via the batched
-    /// detach — the deferred [`GlobalPool::spill_to`], with the same
-    /// attribution (`pressure_spills`, `spill_blocks`).
-    pub fn maint_spill(&self, bound: usize) -> Option<Chain> {
-        let mut bucket = self.bucket.lock();
-        let spill = self.trim_batched_locked(&mut bucket, bound)?;
+        let spill = self.trim_locked(&mut bucket, bound)?;
         drop(bucket);
-        self.stats.pressure_spills.inc();
+        cause.inc();
         self.stats.spill_blocks.add(spill.len() as u64);
         Some(spill)
     }
@@ -778,38 +731,14 @@ impl GlobalPool {
         }
     }
 
-    /// Trims the pool to exactly `2 * gbltarget` blocks, returning the
-    /// spill.
-    ///
-    /// Whole chains are shed first (O(1) each); the final chain is *split*
-    /// so the pool lands exactly on the bound. The split walk is bounded
-    /// by `target` links and happens at most once per spill.
-    fn spill_locked(&self, bucket: &mut Chain) -> Option<Chain> {
-        let spill = self.trim_locked(bucket, 2 * self.gbltarget)?;
-        self.stats.put_miss.inc();
-        self.stats.spill_blocks.add(spill.len() as u64);
-        Some(spill)
-    }
-
-    /// Trims the pool down to `bound` blocks on behalf of the pressure
-    /// ladder, returning the spill for the caller to push to the
-    /// coalesce-to-page layer. `None` when the pool is already within
-    /// bounds. Counted in `pressure_spills`, not `put_miss`.
-    pub fn spill_to(&self, bound: usize) -> Option<Chain> {
-        let mut bucket = self.bucket.lock();
-        let spill = self.trim_locked(&mut bucket, bound)?;
-        drop(bucket);
-        self.stats.pressure_spills.inc();
-        self.stats.spill_blocks.add(spill.len() as u64);
-        Some(spill)
-    }
-
-    /// The trimming walk shared by [`GlobalPool::spill_locked`] and
-    /// [`GlobalPool::spill_to`]; counter-free so each caller can attribute
-    /// the spill to its own cause. Caller holds the bucket lock; stack
-    /// chains are shed through ordinary lock-free pops, so concurrent
-    /// fast-path traffic stays correct (and may make the trim
-    /// approximate — the next slow-path entry re-trims).
+    /// The one trimming walk: pops O(excess) chains until the pool holds
+    /// exactly `bound` blocks. Whole chains are shed first (O(1) each);
+    /// the final chain is *split* so the pool lands exactly on the bound
+    /// (a walk of at most `target` links, once per trim). Counter-free so
+    /// each caller can attribute the spill to its own cause. Caller holds
+    /// the bucket lock; stack chains are shed through ordinary lock-free
+    /// pops, so concurrent fast-path traffic stays correct (and may make
+    /// the trim approximate — the next settle re-trims).
     fn trim_locked(&self, bucket: &mut Chain, bound: usize) -> Option<Chain> {
         let mut total = self.stack_blocks() + bucket.len();
         if total <= bound {
@@ -873,8 +802,7 @@ impl GlobalPool {
     pub fn drain_all(&self) -> Chain {
         let mut bucket = self.bucket.lock();
         let mut all = bucket.take();
-        let (mut stacked, _chains) = self.detach_stack_locked();
-        all.append(&mut stacked);
+        all.append(&mut self.detach_stack_locked());
         all
     }
 }
@@ -1117,6 +1045,7 @@ mod tests {
         assert_eq!(s.put_miss.get(), 0);
         assert_eq!(s.pressure_spills.get(), 1);
         assert_eq!(s.spill_blocks.get(), 6);
+        assert!(pool.spill_to(6).is_none(), "a second spill finds nothing");
         discard(spill);
         discard(pool.drain_all());
     }
@@ -1374,53 +1303,50 @@ mod tests {
     }
 
     #[test]
-    fn deferred_exact_puts_push_wait_free_and_flag_the_trim() {
+    fn over_bound_exact_put_pushes_lock_free_and_owes_a_settle() {
         let mut blocks = Blocks::new(64);
         // target 3, gbltarget 6: bound 12 = 4 chains.
         let pool = GlobalPool::new(3, 6);
         for _ in 0..4 {
-            assert!(
-                !pool.put_chain_deferred(blocks.chain(3)),
-                "within bound: no maintenance requested"
-            );
+            assert!(!pool.put(blocks.chain(3)), "within bound: nothing owed");
         }
         assert_eq!(pool.len(), 12);
-        // Over the bound: the put still lands wait-free (no spinlock),
-        // the pool transiently overshoots, and the caller is told to
-        // post a Trim to the maintenance core.
-        let (over, ev) = probe::record(|| pool.put_chain_deferred(blocks.chain(3)));
-        assert!(over, "over-bound deferred put must request maintenance");
+        // Over the bound: the put still lands without a spinlock, the pool
+        // transiently overshoots, and the caller is told to settle.
+        let (owed, ev) = probe::record(|| pool.put(blocks.chain(3)));
+        assert!(owed, "an over-bound put must owe a settle");
         assert!(
             ev.iter().all(|e| !matches!(
                 e,
                 ProbeEvent::LockAcquire { .. } | ProbeEvent::LockRelease { .. }
             )),
-            "deferred put took a lock: {ev:?}"
+            "over-bound put took a lock: {ev:?}"
         );
-        assert_eq!(pool.len(), 15, "trim is deferred, not inline");
-        // The maintenance core's trim restores the bound with `put_miss`
-        // attribution, exactly like the inline slow path would have.
-        let spill = pool.maint_trim().unwrap();
+        assert_eq!(pool.len(), 15, "the trim is the settle's job");
+        let s = pool.stats();
+        assert_eq!((s.put_fast.get(), s.put_slow.get()), (4, 1));
+        // The settle restores the bound with `put_miss` attribution.
+        let spill = pool.settle().unwrap();
         assert_eq!(spill.len(), 3);
         assert_eq!(pool.len(), 12);
-        let s = pool.stats();
-        assert_eq!(s.put_fast.get(), 5, "deferred puts count as fast pushes");
         assert_eq!(s.put_miss.get(), 1);
         assert_eq!(s.spill_blocks.get(), 3);
-        assert!(pool.maint_trim().is_none(), "second trim finds nothing");
+        assert!(pool.settle().is_none(), "a second settle finds nothing");
         discard(spill);
         discard(pool.drain_all());
     }
 
     #[test]
-    fn deferred_odd_puts_append_and_regroup_at_the_pump() {
+    fn odd_puts_append_and_regroup_at_the_settle() {
         let mut blocks = Blocks::new(32);
         let pool = GlobalPool::new(3, 8);
-        assert!(pool.put_odd_deferred(blocks.chain(2)));
-        assert!(pool.put_odd_deferred(blocks.chain(2)));
+        // Fewer than `target` blocks, within the bound: nothing owed.
+        assert!(!pool.put(blocks.chain(2)));
+        // A chain's worth in the bucket: the regroup is owed.
+        assert!(pool.put(blocks.chain(2)));
         assert_eq!(pool.stats().put_odd.get(), 2);
         assert_eq!(pool.len(), 4);
-        assert!(pool.maint_regroup().is_none());
+        assert!(pool.settle().is_none());
         // One exact chain regrouped onto the lock-free stack.
         let c = pool.get_chain().unwrap();
         assert_eq!(c.len(), 3);
@@ -1434,20 +1360,14 @@ mod tests {
     }
 
     #[test]
-    fn maint_spill_trims_batched_with_pressure_attribution() {
-        let mut blocks = Blocks::new(64);
-        let pool = GlobalPool::new(3, 6);
-        for _ in 0..4 {
-            assert!(pool.put_chain(blocks.chain(3)).is_none());
-        }
-        assert!(pool.maint_spill(12).is_none(), "already within the bound");
-        let spill = pool.maint_spill(6).unwrap();
-        assert_eq!(spill.len(), 6);
+    fn odd_put_over_the_bound_owes_a_settle() {
+        let mut blocks = Blocks::new(32);
+        // target 10, gbltarget 3: bound 6, and 8 blocks never regroup.
+        let pool = GlobalPool::new(10, 3);
+        assert!(!pool.put(blocks.chain(5)));
+        assert!(pool.put(blocks.chain(3)), "8 blocks exceed the bound of 6");
+        assert_eq!(discard(pool.settle().unwrap()), 2);
         assert_eq!(pool.len(), 6);
-        let s = pool.stats();
-        assert_eq!(s.pressure_spills.get(), 1);
-        assert_eq!(s.put_miss.get(), 0);
-        discard(spill);
         discard(pool.drain_all());
     }
 

@@ -1,21 +1,22 @@
-//! Maintenance-core work descriptors and their mailbox key layout.
+//! Slow-path work descriptors and their mailbox key layout.
 //!
-//! When the maintenance core is enabled ([`crate::config::MaintConfig`]),
-//! slow-path chores are described by a [`MaintWork`] item and posted to a
-//! [`kmem_smp::Mailbox`] instead of running inline. The mailbox
+//! Every chore below the per-CPU caches that a CPU may defer is a
+//! [`MaintWork`] item. The arena runs one item with one body wherever it
+//! lands: inline on the CPU that noticed it, or — with the maintenance
+//! core enabled ([`crate::config::MaintConfig`]) — posted to a
+//! [`kmem_smp::Mailbox`] and run by the core. Only *where* the work runs
+//! depends on the configuration, never *what* it does. The mailbox
 //! deduplicates per key, so the key layout *is* the dedup policy: one key
-//! per (site, shard) means a storm of identical threshold crossings — a
+//! per (kind, shard) means a storm of identical threshold crossings — a
 //! hundred CPUs all noticing the same shard is over its bound — collapses
 //! to one unit of work.
 //!
 //! [`MaintKeys`] owns the dense key layout for one arena topology:
 //!
 //! ```text
-//! [0,            nshards)                    Regroup  per (class, node)
-//! [nshards,      2*nshards)                  Trim     per (class, node)
-//! [2*nshards,    3*nshards)                  Spill    per (class, node)
-//! [3*nshards,    3*nshards + ncpus)          DrainCpu per cpu
-//! [3*nshards+ncpus, .. + nclasses)           Coalesce per class
+//! [0,          nshards)              Settle   per (class, node)
+//! [nshards,    2*nshards)            Spill    per (class, node)
+//! [2*nshards,  2*nshards + ncpus)    DrainCpu per cpu
 //! ```
 //!
 //! where `nshards = nclasses * nnodes` and shards are node-minor
@@ -23,25 +24,19 @@
 
 use kmem_smp::Mailbox;
 
-/// One unit of deferred slow-path work.
+/// One unit of deferrable slow-path work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintWork {
-    /// Regroup the bucket list of shard `(class, node)` into
-    /// `target`-sized stack chains and trim to the standard bound — the
-    /// deferred half of an odd put.
-    Regroup { class: usize, node: usize },
-    /// Trim shard `(class, node)` back to its `2 * gbltarget` bound via
-    /// the epoch-batched detach — the deferred half of a bound-exceeding
-    /// exact put.
-    Trim { class: usize, node: usize },
+    /// Settle shard `(class, node)`: regroup its bucket list into
+    /// `target`-sized stack chains and trim it to `2 * gbltarget` — the
+    /// half of a put that [`crate::global::GlobalPool::put`] reports owed.
+    Settle { class: usize, node: usize },
     /// Pressure-ladder spill of shard `(class, node)` down to
     /// `gbltarget` blocks.
     Spill { class: usize, node: usize },
     /// Request a cache drain from `cpu` (sets its drain flag; the CPU
-    /// flushes at its next poll, as with the inline request).
+    /// flushes at its next poll).
     DrainCpu { cpu: usize },
-    /// Push `class`'s fully free pages back to the vmblk layer.
-    Coalesce { class: usize },
 }
 
 /// Dense key layout for one arena topology (see the module docs).
@@ -70,7 +65,7 @@ impl MaintKeys {
 
     /// Total number of dedup keys (the mailbox size).
     pub fn count(&self) -> usize {
-        3 * self.nshards() + self.ncpus + self.nclasses
+        2 * self.nshards() + self.ncpus
     }
 
     /// The dedup key for `work`.
@@ -80,16 +75,11 @@ impl MaintKeys {
             class * self.nnodes + node
         };
         match work {
-            MaintWork::Regroup { class, node } => shard(class, node),
-            MaintWork::Trim { class, node } => self.nshards() + shard(class, node),
-            MaintWork::Spill { class, node } => 2 * self.nshards() + shard(class, node),
+            MaintWork::Settle { class, node } => shard(class, node),
+            MaintWork::Spill { class, node } => self.nshards() + shard(class, node),
             MaintWork::DrainCpu { cpu } => {
                 debug_assert!(cpu < self.ncpus);
-                3 * self.nshards() + cpu
-            }
-            MaintWork::Coalesce { class } => {
-                debug_assert!(class < self.nclasses);
-                3 * self.nshards() + self.ncpus + class
+                2 * self.nshards() + cpu
             }
         }
     }
@@ -106,20 +96,13 @@ impl MaintKeys {
         let unshard = |shard: usize| (shard / self.nnodes, shard % self.nnodes);
         if key < nshards {
             let (class, node) = unshard(key);
-            MaintWork::Regroup { class, node }
+            MaintWork::Settle { class, node }
         } else if key < 2 * nshards {
             let (class, node) = unshard(key - nshards);
-            MaintWork::Trim { class, node }
-        } else if key < 3 * nshards {
-            let (class, node) = unshard(key - 2 * nshards);
             MaintWork::Spill { class, node }
-        } else if key < 3 * nshards + self.ncpus {
-            MaintWork::DrainCpu {
-                cpu: key - 3 * nshards,
-            }
         } else if key < self.count() {
-            MaintWork::Coalesce {
-                class: key - 3 * nshards - self.ncpus,
+            MaintWork::DrainCpu {
+                cpu: key - 2 * nshards,
             }
         } else {
             panic!("maintenance key {key} out of range for {self:?}");
@@ -159,11 +142,9 @@ mod tests {
             let mut all = Vec::new();
             for class in 0..nclasses {
                 for node in 0..nnodes {
-                    all.push(MaintWork::Regroup { class, node });
-                    all.push(MaintWork::Trim { class, node });
+                    all.push(MaintWork::Settle { class, node });
                     all.push(MaintWork::Spill { class, node });
                 }
-                all.push(MaintWork::Coalesce { class });
             }
             for cpu in 0..ncpus {
                 all.push(MaintWork::DrainCpu { cpu });
@@ -189,9 +170,9 @@ mod tests {
     #[test]
     fn state_posts_dedupe_per_work_item() {
         let state = MaintState::new(MaintKeys::new(2, 1, 2));
-        state.post(MaintWork::Trim { class: 0, node: 0 });
-        state.post(MaintWork::Trim { class: 0, node: 0 });
-        state.post(MaintWork::Trim { class: 1, node: 0 });
+        state.post(MaintWork::Settle { class: 0, node: 0 });
+        state.post(MaintWork::Settle { class: 0, node: 0 });
+        state.post(MaintWork::Settle { class: 1, node: 0 });
         assert_eq!(state.mailbox.posted(), 3);
         assert_eq!(state.mailbox.deduped(), 1);
         let mut drained = Vec::new();
@@ -201,8 +182,8 @@ mod tests {
         assert_eq!(
             drained,
             vec![
-                MaintWork::Trim { class: 0, node: 0 },
-                MaintWork::Trim { class: 1, node: 0 },
+                MaintWork::Settle { class: 0, node: 0 },
+                MaintWork::Settle { class: 1, node: 0 },
             ]
         );
     }

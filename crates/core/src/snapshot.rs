@@ -444,9 +444,18 @@ impl KmemSnapshot {
 
     /// Checks the live invariants plus the exact-accounting equalities
     /// that hold only when no CPU is mid-operation (torture checkpoints,
-    /// post-join assertions).
+    /// post-join assertions), among them that every block a shard spilled
+    /// is counted against its node.
     pub fn check_quiescent(&self) -> Result<(), String> {
-        self.check_each(CacheCounts::check_quiescent, GlobalCounts::check_quiescent)
+        self.check_each(CacheCounts::check_quiescent, GlobalCounts::check_quiescent)?;
+        let node: u64 = self.nodes.iter().map(|n| n.remote_spills).sum();
+        let class: u64 = self.classes.iter().map(|c| c.global.spill_blocks).sum();
+        ensure(
+            node == class,
+            "arena",
+            "per-node remote_spills must sum to the classes' spill_blocks",
+            &(node, class),
+        )
     }
 
     /// Verifies that every counter in `self` is `>=` its counterpart in

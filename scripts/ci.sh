@@ -120,12 +120,15 @@ KMEM_TORTURE_HARDENED=1 KMEM_TORTURE_FAULTS=1 \
 
 echo "==> maintenance-core round (mailbox offload, faults on)"
 # The background maintenance core under the full torture mix: slow-path
-# trims, regroups, spills, and pressure drain-requests route through the
+# settles, pressure spills and drain requests route through the
 # lock-free mailbox instead of running inline, and the driver pumps the
 # mailbox at every quiescent checkpoint, asserting it settles exactly
 # (drained == posted - deduped, backlog empty). KMEM_TORTURE_MAINT=1
 # additionally reruns the standard and low-memory mixes with the core on,
 # so the offload path sees the same op streams as the inline tier-1 runs.
+# tests/maint.rs holds the inline-vs-pumped parity stream and the
+# per-node spill ledger; run them in the optimized build too.
+cargo test -q --release --offline --test maint
 cargo test -q --release --offline -p kmem-testkit --test torture \
     maintenance_core
 KMEM_TORTURE_MAINT=1 KMEM_TORTURE_FAULTS=1 \
