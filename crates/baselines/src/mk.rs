@@ -224,8 +224,10 @@ impl MkAllocator {
                 if page < inner.scan_hint {
                     inner.scan_hint = page;
                 }
-                drop(inner);
+                // Under the lock: it serialises every write of the frame
+                // account, as `PhysPool` requires.
                 self.space.phys().release(npages);
+                drop(inner);
                 probe::emit(ProbeEvent::Work { cycles: 40 });
             }
             other => panic!("MK free of a pointer in a {other:?} page"),

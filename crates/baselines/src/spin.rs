@@ -132,8 +132,8 @@ fn wr<T>(p: *const T) {
 
 /// The pre-rework layer, reproduced op-for-op: one spinlock serializes
 /// every radix-list move, page-freelist splice, and counter update, and
-/// page acquire/release always goes to the (locked) vmblk carve/merge
-/// path — there was no whole-page cache. Shared-line touches under the
+/// page acquire/release goes to the (locked) vmblk carve/merge path.
+/// Shared-line touches under the
 /// lock are probe-emitted so the simulator prices the baseline's cache
 /// traffic the same way it prices the lock-free layer's.
 pub struct SpinPage {
@@ -152,8 +152,7 @@ struct PageInner {
 }
 
 impl SpinPage {
-    /// Creates the layer for size class `class` over `space`, with no
-    /// whole-page cache below it.
+    /// Creates the layer for size class `class` over `space`.
     pub fn new(space: Arc<KernelSpace>, class: usize, block_size: usize) -> Self {
         let blocks_per_page = PAGE_SIZE / block_size;
         SpinPage {

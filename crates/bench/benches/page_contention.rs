@@ -4,10 +4,10 @@
 //! chains through one shared coalesce-to-page layer, the refill/free
 //! traffic the global layer generates under load — runs twice: once
 //! through the lock-free [`PageLayer`] (tagged radix stacks, per-page
-//! atomic free counts, vmblk page cache) and once through an op-for-op
-//! reproduction of the spinlocked layer it replaced (one lock around
-//! every radix-list move, page-freelist splice, and counter, with the
-//! vmblk boundary-tag lock behind it and no whole-page cache).
+//! atomic free counts) and once through an op-for-op reproduction of the
+//! spinlocked layer it replaced (one lock around every radix-list move,
+//! page-freelist splice, and counter). Both take and return whole pages
+//! through the same vmblk boundary-tag lock.
 //!
 //! Three measurements are taken and all land in `BENCH_page.json`:
 //!
@@ -46,7 +46,7 @@ use std::time::Instant;
 use kmem::chain::Chain;
 use kmem::pagelayer::PageLayer;
 use kmem::vmblklayer::VmblkLayer;
-use kmem::{ClassConfig, Faults};
+use kmem::ClassConfig;
 use kmem_baselines::spin::SpinPage;
 use kmem_sim::{SimConfig, Simulator};
 use kmem_testkit::Rng;
@@ -100,16 +100,15 @@ struct LockFree {
 impl LockFree {
     fn new() -> Self {
         LockFree {
-            // The production stack: lock-free layer fronting the vmblk
-            // boundary-tag lock with the whole-page cache.
-            vm: VmblkLayer::new_with_cache(space(), true, Faults::none()),
+            // The production stack: the lock-free layer over the vmblk
+            // boundary-tag lock.
+            vm: VmblkLayer::new(space(), true),
             layer: PageLayer::new(CLASS, BLOCK_SIZE, true),
         }
     }
 
     fn assert_drained(&self) {
         self.layer.flush_full_pages(&self.vm);
-        self.vm.drain_page_cache();
         assert_eq!(self.layer.usage(), (0, 0), "bench leaked pages");
     }
 }
@@ -126,7 +125,7 @@ impl PagePool for LockFree {
 }
 
 /// The pre-rework layer ([`SpinPage`]): one spinlock around every
-/// radix-list move, over the locked vmblk path with no whole-page cache.
+/// radix-list move, over the same locked vmblk path.
 fn spin_page() -> SpinPage {
     SpinPage::new(space(), CLASS, BLOCK_SIZE)
 }
@@ -243,7 +242,7 @@ fn class_fill_drain(block_size: usize) -> (f64, f64) {
     // One default-sized (4 MB) vmblk holds all the pages, as in an arena.
     let space = Arc::new(KernelSpace::new(SpaceConfig::new(32 << 20)));
     let pool = LockFree {
-        vm: VmblkLayer::new_with_cache(space, true, Faults::none()),
+        vm: VmblkLayer::new(space, true),
         layer: PageLayer::new(CLASS, block_size, true),
     };
     let mut rng = Rng::new(SEED ^ block_size as u64);

@@ -3,15 +3,18 @@
 //! The values are written through the workspace's one JSON emitter,
 //! [`kmem::json::JsonObj`] (re-exported here). Every artifact gets the
 //! same envelope — `schema` version, `bench` name, RNG `seed` (zero
-//! for benches with no randomized workload), and a `config` object
-//! holding the knobs the numbers depend on — so a reader can tell at a
-//! glance which code vintage and parameters produced a file.
+//! for benches with no randomized workload), `host_cpus` (the CPUs the
+//! recording host offered: with 1, no multi-thread wall-clock number in
+//! the file is scaling evidence), and a `config` object holding the
+//! knobs the numbers depend on — so a reader can tell at a glance which
+//! code vintage, host and parameters produced a file.
 
 pub use kmem::json::JsonObj;
 
 /// Version stamped into every artifact as `"schema"`. Bump when the
-/// envelope itself (not a bench's own fields) changes shape.
-pub const SCHEMA_VERSION: u32 = 2;
+/// envelope itself (not a bench's own fields) changes shape: 3 added
+/// `host_cpus`.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// A `BENCH_*.json` artifact under construction, with the standard
 /// envelope pre-filled.
@@ -20,13 +23,15 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Starts a report: `schema`, `bench`, and `seed` land first. Pass
-    /// `seed = 0` for benches whose workload has no RNG.
+    /// Starts a report: `schema`, `bench`, `seed` and `host_cpus` land
+    /// first. Pass `seed = 0` for benches whose workload has no RNG.
     pub fn new(bench: &str, seed: u64) -> Self {
+        let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut obj = JsonObj::new();
         obj.u64("schema", SCHEMA_VERSION as u64)
             .str("bench", bench)
-            .u64("seed", seed);
+            .u64("seed", seed)
+            .usize("host_cpus", host_cpus);
         BenchReport { obj }
     }
 
@@ -64,11 +69,12 @@ mod tests {
         let report = BenchReport::new("demo", 42).config(|c| {
             c.usize("threads", 8).f64("budget", 1.5, 1);
         });
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(
             report.render(),
             format!(
                 "{{\"schema\":{SCHEMA_VERSION},\"bench\":\"demo\",\"seed\":42,\
-                 \"config\":{{\"threads\":8,\"budget\":1.5}}}}"
+                 \"host_cpus\":{cpus},\"config\":{{\"threads\":8,\"budget\":1.5}}}}"
             )
         );
     }

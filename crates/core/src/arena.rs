@@ -187,11 +187,7 @@ impl KmemArena {
             config.space.nodes(config.nodes),
             faults.clone(),
         ));
-        let vm = VmblkLayer::new_with_cache(
-            Arc::clone(&space),
-            config.release_empty_vmblks,
-            faults.clone(),
-        );
+        let vm = VmblkLayer::new(Arc::clone(&space), config.release_empty_vmblks);
         let max_large = vm.max_span_pages() * PAGE_SIZE;
         let nnodes = topology.nnodes();
         let id = NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed);
@@ -458,14 +454,13 @@ impl KmemArena {
             large_allocs += slot.large_allocs.get();
             large_frees += slot.large_frees.get();
         }
-        let vm = inner.vm.stats();
         KmemSnapshot {
             classes,
             nodes,
             large_allocs,
             large_frees,
-            vmblk_cache_hits: vm.cache_hits,
-            vmblk_cache_puts: vm.cache_puts,
+            vmblk_cache_hits: 0,
+            vmblk_cache_puts: 0,
             vmblks_live: inner.vm.nvmblks(),
             phys_in_use: inner.space.phys().in_use(),
             phys_capacity: inner.space.phys().capacity(),
@@ -699,8 +694,6 @@ impl ArenaInner {
             // idle memory actually leaves the page layer.
             self.pages[class].flush_full_pages(&self.vm);
         }
-        // And un-park the whole-page cache so empty vmblks can release.
-        self.vm.drain_page_cache();
     }
 
     pub(crate) fn vm(&self) -> &VmblkLayer {

@@ -14,10 +14,10 @@
 //! a page, that page cannot change role, so the read is stable.
 //!
 //! `home` is valid on the first page of an allocated span — which every
-//! block page and every parked page is, being a span of one — and nowhere
-//! else: the vmblk layer writes it once per allocation, on the head, and
-//! reads it back from the head when the span is freed whole. An interior
-//! page's `home` is whatever an earlier use of that page left there.
+//! block page is, being a span of one — and nowhere else: the vmblk layer
+//! writes it once per allocation, on the head, and reads it back from the
+//! head when the span is freed whole. An interior page's `home` is
+//! whatever an earlier use of that page left there.
 //!
 //! A block page's live state is lock-free. Its free count and listing
 //! flags (`state`), its block freelist (`afree`) and its bucket linkage
@@ -55,11 +55,6 @@ pub enum PdKind {
     BlockPage = 3,
     /// First page of an *allocated* multi-page block; `span_pages` valid.
     Large = 4,
-    /// Whole page parked on the vmblk layer's lock-free page cache: its
-    /// physical frame is released, its virtual page is neither in a span
-    /// freelist nor counted free, and it is linked through
-    /// [`PageDesc::anext`].
-    Cached = 5,
 }
 
 impl PdKind {
@@ -70,7 +65,6 @@ impl PdKind {
             2 => PdKind::SpanFreeTail,
             3 => PdKind::BlockPage,
             4 => PdKind::Large,
-            5 => PdKind::Cached,
             _ => unreachable!("corrupt page descriptor kind {v}"),
         }
     }
@@ -126,8 +120,8 @@ pub struct PageDesc {
     /// Block pages: tagged head of the page's lock-free block freelist
     /// (links through each block's first word, as `global.rs` does).
     afree: TaggedAtomic,
-    /// Lock-free intrusive linkage for [`PdStack`] (radix buckets, the
-    /// vmblk page cache). Only the stack holding the page may follow it.
+    /// Lock-free intrusive linkage for [`PdStack`] (the radix buckets).
+    /// Only the stack holding the page may follow it.
     anext: AtomicPtr<PageDesc>,
     inner: UnsafeCell<PdInner>,
 }
@@ -378,10 +372,10 @@ impl Iterator for PdListIter {
 /// analogue of the global layer's chain stack.
 ///
 /// Used for the per-class radix buckets (lazy positions: a listed page's
-/// true free count may exceed its bucket; poppers repair by relisting) and
-/// the vmblk layer's whole-page cache. A descriptor is in **at most one**
-/// stack at a time; a successful [`pop`](PdStack::pop) transfers possession
-/// of the descriptor to the caller.
+/// true free count may exceed its bucket; poppers repair by relisting). A
+/// descriptor is in **at most one** stack at a time; a successful
+/// [`pop`](PdStack::pop) transfers possession of the descriptor to the
+/// caller.
 pub struct PdStack {
     head: TaggedAtomic,
 }

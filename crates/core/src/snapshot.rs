@@ -286,10 +286,10 @@ counters! {
         counter large_allocs: u64,
         /// Large frees.
         counter large_frees: u64,
-        /// Single-page allocations served from the vmblk layer's lock-free
-        /// page cache (no boundary-tag lock taken).
+        /// Retired with the vmblk layer's whole-page cache: always 0. The
+        /// row stays because readers of the JSON still look it up.
         counter vmblk_cache_hits: u64 => "vmblk_cache"."hits",
-        /// Whole pages parked on the vmblk page cache by `free_span`.
+        /// Retired with `vmblk_cache_hits`: always 0.
         counter vmblk_cache_puts: u64 => "vmblk_cache"."puts",
         /// vmblks currently live.
         gauge vmblks_live: usize,
@@ -395,8 +395,6 @@ impl KmemSnapshot {
                 .collect(),
             large_allocs: self.large_allocs,
             large_frees: self.large_frees,
-            vmblk_cache_hits: self.vmblk_cache_hits,
-            vmblk_cache_puts: self.vmblk_cache_puts,
             vmblks_live: self.vmblks_live,
             phys_in_use: self.phys_in_use,
             phys_capacity: self.phys_capacity,

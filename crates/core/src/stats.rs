@@ -62,11 +62,6 @@ pub struct KmemStats {
     pub large_allocs: u64,
     /// Large frees.
     pub large_frees: u64,
-    /// Single-page allocations served from the vmblk layer's lock-free
-    /// page cache without taking the boundary-tag lock.
-    pub vmblk_cache_hits: u64,
-    /// Whole pages parked on the vmblk page cache.
-    pub vmblk_cache_puts: u64,
     /// vmblks currently live.
     pub vmblks_live: usize,
     /// Physical frames currently claimed.

@@ -19,17 +19,21 @@
 //! its span is freed, so a fully drained allocator provably holds no
 //! physical memory beyond the headers of any vmblks it has retained (none,
 //! with `release_empty_vmblks`). Header pages are claimed for the life of
-//! the vmblk.
+//! the vmblk. Every one of those claims and releases is made with the
+//! boundary-tag lock held: the lock is the frame account's one
+//! serialiser (`kmem_vm::phys`'s contract), so the account is plain
+//! loads and stores, and a span pair costs the two lock acquisitions and
+//! no other interlocked operation, whatever its length.
 
 use core::ptr::{self, NonNull};
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use kmem_smp::probe::{self, ProbeEvent};
-use kmem_smp::{faults, EventCounter, Faults, LocalCounter, NodeId, SpinLock};
+use kmem_smp::{Faults, LocalCounter, NodeId, SpinLock};
 use kmem_vm::{KernelSpace, VmError, VmblkRegion, PAGE_SHIFT, PAGE_SIZE};
 
-use crate::pagedesc::{PageDesc, PdKind, PdList, PdStack, PD_STRIDE};
+use crate::pagedesc::{PageDesc, PdKind, PdList, PD_STRIDE};
 
 /// Span lengths with exact-size freelists; longer spans share a first-fit
 /// list. 64 pages = 256 KB covers every multi-page request the benchmarks
@@ -37,16 +41,6 @@ use crate::pagedesc::{PageDesc, PdKind, PdList, PdStack, PD_STRIDE};
 /// which exact-size lists are non-empty (`VmInner::nonempty`).
 const MAX_SEG: usize = 64;
 const _: () = assert!(MAX_SEG == u64::BITS as usize);
-
-/// Pages a node's lock-free whole-page cache parks before frees go to the
-/// boundary-tag path instead. The page layer churns single pages far more
-/// often than any other span size, so a small cap absorbs nearly all of
-/// the traffic while bounding how much virtual space sits outside the
-/// boundary-tag structure. A free reads the cache's length before it
-/// parks, so CPUs racing at the cap can each park one page past it. The
-/// cache is sharded by home node: a parked page waits on its frame's
-/// node's stack, so a node-local request reuses a node-local frame.
-const PAGE_CACHE_CAP: u64 = 64;
 
 /// Offset of the descriptor array within a vmblk.
 const PD_OFFSET: usize = {
@@ -165,68 +159,17 @@ pub struct VmblkStats {
     pub span_allocs: u64,
     /// Page spans returned.
     pub span_frees: u64,
-    /// Single-page allocations served by the lock-free page cache
-    /// (no boundary-tag lock taken).
-    pub cache_hits: u64,
-    /// Single-page frees parked on the lock-free page cache
-    /// (no boundary-tag lock taken).
-    pub cache_puts: u64,
 }
 
-/// The boundary-tag path's counters, bumped only with its lock held: the
-/// lock serialises the writers, so a bump is a load and a store. What
-/// [`VmblkStats`] reports is summed from these and the [`NodeCache`]
-/// counters at read time.
+/// The layer's counters, bumped only with its lock held: the lock
+/// serialises the writers, so a bump is a load and a store, summed into
+/// [`VmblkStats`] at read time.
 #[derive(Default)]
 struct LockedCounters {
     vmblks_created: LocalCounter,
     vmblks_released: LocalCounter,
-    /// Spans served by the boundary-tag path.
     allocs: LocalCounter,
-    /// Spans returned through the boundary-tag path (cache drains are not
-    /// frees: those pages were counted when they were parked).
     frees: LocalCounter,
-}
-
-/// One node's lock-free cache of recently freed whole pages
-/// ([`PdKind::Cached`] descriptors), fronting the boundary-tag lock. A
-/// cached page's physical frame is *released* and the page is neither in
-/// a span freelist nor counted in its header's `free_pages` — which
-/// guarantees its vmblk can never be released while it is parked.
-///
-/// Each direction pays one interlocked statistic, and the three counters
-/// are also the cache's length: every page parked is still here or left
-/// by a hit or a drain.
-#[derive(Default)]
-struct NodeCache {
-    stack: PdStack,
-    /// Pages ever parked here (bumped before the push publishes the page).
-    puts: EventCounter,
-    /// Pages an allocation took back (bumped after the pop).
-    hits: EventCounter,
-    /// Pages a drain pulled back into the boundary-tag structure (bumped
-    /// after the pop, with the boundary-tag lock held).
-    drained: LocalCounter,
-}
-
-impl NodeCache {
-    /// Bumps `puts` or `hits`, reported to the simulator on the stack
-    /// head's line: the cache is four words, modelled as the one line
-    /// they nearly always share, so a simulated run does not depend on
-    /// where the allocator happened to place them.
-    #[inline]
-    fn count(&self, counter: &EventCounter) {
-        probe::emit_rmw(&self.stack);
-        counter.inc();
-    }
-
-    /// Pages parked here now; counts a page an allocation has popped until
-    /// its frame is claimed. The departures are read first: a page leaves
-    /// after it arrives, so the difference cannot go negative.
-    fn len(&self) -> u64 {
-        let left = self.hits.get() + self.drained.get();
-        self.puts.get() - left
-    }
 }
 
 struct VmInner {
@@ -270,11 +213,6 @@ pub struct VmblkLayer {
     max_span: usize,
     inner: SpinLock<VmInner>,
     release_empty: bool,
-    /// One whole-page cache per NUMA node, keyed by the parked page's home
-    /// node.
-    page_cache: Box<[NodeCache]>,
-    cache_enabled: bool,
-    faults: Faults,
     locked: LockedCounters,
 }
 
@@ -290,26 +228,8 @@ fn record_home(head: &PageDesc, node: NodeId) {
 }
 
 impl VmblkLayer {
-    /// Creates an empty layer over `space` (whole-page cache disabled:
-    /// every span operation goes through the boundary-tag lock).
+    /// Creates an empty layer over `space`.
     pub fn new(space: Arc<KernelSpace>, release_empty: bool) -> Self {
-        VmblkLayer::build(space, release_empty, false, Faults::none())
-    }
-
-    /// As [`new`](VmblkLayer::new) with the lock-free whole-page cache
-    /// enabled, wired to a fault-injection plan (consults `vmblk.cache`
-    /// on both the park and reuse directions).
-    pub fn new_with_cache(space: Arc<KernelSpace>, release_empty: bool, faults: Faults) -> Self {
-        VmblkLayer::build(space, release_empty, true, faults)
-    }
-
-    fn build(
-        space: Arc<KernelSpace>,
-        release_empty: bool,
-        cache_enabled: bool,
-        faults: Faults,
-    ) -> Self {
-        let nnodes = space.phys().nnodes();
         VmblkLayer {
             max_span: geometry(space.vmblk_size() >> PAGE_SHIFT).1,
             space,
@@ -319,11 +239,17 @@ impl VmblkLayer {
                 vmblks: ptr::null_mut(),
             }),
             release_empty,
-            page_cache: (0..nnodes).map(|_| NodeCache::default()).collect(),
-            cache_enabled,
-            faults,
             locked: LockedCounters::default(),
         }
+    }
+
+    /// [`new`](VmblkLayer::new), under the failpoint-wired constructor's
+    /// name and signature because kmembench's per-layer benchmarks
+    /// (`benchmark/src/layers.rs`) build their layers with it. The layer
+    /// consults no failpoint of its own: `phys.claim` and `vm.carve` are
+    /// consulted by `space`, with the plan `space` was built with.
+    pub fn new_with_cache(space: Arc<KernelSpace>, release_empty: bool, _faults: Faults) -> Self {
+        VmblkLayer::new(space, release_empty)
     }
 
     /// The kernel space this layer carves from.
@@ -331,19 +257,15 @@ impl VmblkLayer {
         &self.space
     }
 
-    /// Layer statistics. Exact when the layer is quiescent; on a live
-    /// layer each field is a sum of monotone counters read at slightly
-    /// different times, so it never goes backwards between two reads.
+    /// Layer statistics, read lock-free. Exact when the layer is
+    /// quiescent; on a live layer each field is a monotone counter read
+    /// at a slightly different time.
     pub fn stats(&self) -> VmblkStats {
-        let cache_hits = self.page_cache.iter().map(|c| c.hits.get()).sum();
-        let cache_puts = self.page_cache.iter().map(|c| c.puts.get()).sum();
         VmblkStats {
             vmblks_created: self.locked.vmblks_created.get(),
             vmblks_released: self.locked.vmblks_released.get(),
-            span_allocs: self.locked.allocs.get() + cache_hits,
-            span_frees: self.locked.frees.get() + cache_puts,
-            cache_hits,
-            cache_puts,
+            span_allocs: self.locked.allocs.get(),
+            span_frees: self.locked.frees.get(),
         }
     }
 
@@ -396,9 +318,6 @@ impl VmblkLayer {
 
     /// Allocates a span of `npages` data pages (claiming physical frames),
     /// returning its base address and head descriptor.
-    ///
-    /// Single-page requests are served from the lock-free page cache when
-    /// one is parked there, skipping the boundary-tag lock entirely.
     pub fn alloc_span(&self, npages: usize) -> Result<(NonNull<u8>, &PageDesc), VmError> {
         self.alloc_span_on(npages, NodeId::new(0))
     }
@@ -420,42 +339,18 @@ impl VmblkLayer {
             // carving a vmblk that would only be left behind empty.
             return Err(VmError::OutOfVirtual);
         }
-        if npages == 1 && self.cache_enabled && !self.faults.hit(faults::VMBLK_CACHE) {
-            if let Some((cache, pd)) = self.pop_cached(preferred) {
-                // SAFETY: the pop transferred possession of the parked
-                // descriptor to us.
-                let pdr = unsafe { &*pd };
-                debug_assert_eq!(pdr.kind(), PdKind::Cached);
-                // Re-back the page on its own home node when possible, so
-                // the cache hit keeps the frame where the page came from.
-                match self.space.phys().claim_on(pdr.home_node(), 1) {
-                    Ok(node) => {
-                        cache.count(&cache.hits);
-                        record_home(pdr, node);
-                        pdr.set_kind(PdKind::Unused);
-                        let at = self.page_of(pdr);
-                        return Ok((at.hdr.data_page(at.idx), pdr));
-                    }
-                    Err(e) => {
-                        // No frame to back it: the page goes back where it
-                        // was parked, and no counter saw it leave.
-                        // SAFETY: we possess the descriptor.
-                        unsafe { cache.stack.push(pd) };
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        // Claim the frames first: on failure nothing needs undoing, and a
-        // span is never visible in an allocated-but-unbacked state.
-        let node = self.space.phys().claim_on(preferred, npages)?;
         let mut inner = self.inner.lock();
+        // Claim the frames first: a failed claim unlocks having changed
+        // nothing, and a span is never visible allocated but unbacked.
+        let node = self.space.phys().claim_on(preferred, npages)?;
+        // (Matched in place: routing the pick through an intermediate
+        // `Result` made `large` ~4 ns/op slower on a 2-vCPU x86-64 VM.)
         let (hdr, idx, len) = match self.find_span(&inner, npages) {
             Some(found) => found,
             None => match self.find_span_slow(&mut inner, npages, preferred) {
                 Ok(found) => found,
                 Err(e) => {
-                    drop(inner);
+                    // The frames go back before the lock does.
                     self.space.phys().release_on(node, npages);
                     return Err(e);
                 }
@@ -475,8 +370,8 @@ impl VmblkLayer {
             Ordering::Relaxed,
         );
         self.locked.allocs.bump();
-        // Lists, tags and counts agree again, and the span is in none of
-        // them: the rest is private to this call.
+        // Lists, tags, counts and frames agree again, and the span is in
+        // none of the lists: the rest is private to this call.
         drop(inner);
         // SAFETY: `pd` points into the live header area.
         let pd = unsafe { &*hdr_ref.pd(idx) };
@@ -484,11 +379,9 @@ impl VmblkLayer {
         Ok((hdr_ref.data_page(idx), pd))
     }
 
-    /// The miss half of a span search, with the vm lock held: pulls parked
-    /// cache pages back into the boundary-tag structure — merged, they may
-    /// satisfy the request (or free a whole vmblk) — and only then carves
-    /// a new vmblk, which always can (requests beyond a vmblk's capacity
-    /// were refused up front).
+    /// The miss half of a span search, with the vm lock held: carves a new
+    /// vmblk, which always serves the request (requests beyond a vmblk's
+    /// capacity were refused up front).
     #[cold]
     fn find_span_slow(
         &self,
@@ -496,26 +389,10 @@ impl VmblkLayer {
         npages: usize,
         preferred: NodeId,
     ) -> Result<(*mut VmblkHeader, usize, usize), VmError> {
-        if self.drain_cache_locked(inner) > 0 {
-            if let Some(found) = self.find_span(inner, npages) {
-                return Ok(found);
-            }
-        }
         self.create_vmblk(inner, preferred)?;
         Ok(self
             .find_span(inner, npages)
             .expect("a fresh vmblk serves any span up to max_span_pages"))
-    }
-
-    /// Pops one parked page, preferring `preferred`'s cache and falling
-    /// back to the other nodes' caches in wrap-around order. Returns the
-    /// cache it came from, whose `hits` the caller owes a bump.
-    fn pop_cached(&self, preferred: NodeId) -> Option<(&NodeCache, *mut PageDesc)> {
-        let nn = self.page_cache.len();
-        (0..nn).find_map(|k| {
-            let cache = &self.page_cache[(preferred.index() + k) % nn];
-            cache.stack.pop().0.map(|pd| (cache, pd))
-        })
     }
 
     /// Frees a span of `npages` starting at `addr`, coalescing with free
@@ -549,49 +426,13 @@ impl VmblkLayer {
         // The span's frames all live on the node its head descriptor
         // records (claims never split across nodes).
         let home = pd.home_node();
-        if npages == 1 && self.cache_enabled && !self.faults.hit(faults::VMBLK_CACHE) {
-            let cache = &self.page_cache[home.index()];
-            if cache.len() < PAGE_CACHE_CAP {
-                // Park the whole page on its home node's lock-free cache:
-                // frame released, page left outside the span structure
-                // (and outside `free_pages`, so its vmblk stays pinned
-                // while parked).
-                cache.count(&cache.puts);
-                pd.set_kind(PdKind::Cached);
-                self.space.phys().release_on(home, 1);
-                // SAFETY: we possess the descriptor until the push
-                // publishes it.
-                unsafe { cache.stack.push(pd as *const PageDesc as *mut PageDesc) };
-                return;
-            }
-        }
-        self.space.phys().release_on(home, npages);
         let hdr_ptr = hdr as *const VmblkHeader as *mut VmblkHeader;
         let mut inner = self.inner.lock();
+        self.space.phys().release_on(home, npages);
         self.locked.frees.bump();
-        // SAFETY: lock held; the span is ours per the function contract.
-        unsafe { self.merge_free_locked(&mut inner, hdr_ptr, idx, npages) };
-    }
-
-    /// Merges the free span `[idx, idx + len)` of `hdr` into the
-    /// boundary-tag structure, coalescing with free neighbours, and
-    /// releases the vmblk if it became entirely free. Physical frames are
-    /// NOT touched — callers account for them (the locked free path
-    /// releases them; the cache drain released them at park time).
-    ///
-    /// # Safety
-    ///
-    /// vm lock held; the pages are free, unlisted, and unreferenced.
-    unsafe fn merge_free_locked(
-        &self,
-        inner: &mut VmInner,
-        hdr_ptr: *mut VmblkHeader,
-        mut idx: usize,
-        npages: usize,
-    ) {
-        // SAFETY: `hdr_ptr` is a live published header.
-        let hdr = unsafe { &*hdr_ptr };
-        let mut len = npages;
+        // Merge the span into the boundary-tag structure, coalescing with
+        // free neighbours. Every page of it is ours per the contract.
+        let (mut idx, mut len) = (idx, npages);
         // Coalesce forward: does a free span start right after ours?
         if idx + len < hdr.ndata {
             // SAFETY: descriptor of a data page of a live vmblk.
@@ -600,7 +441,7 @@ impl VmblkLayer {
                 // SAFETY: vm lock held.
                 let alen = unsafe { after.inner() }.span_pages as usize;
                 // SAFETY: vm lock held; (idx+len, alen) is a listed span.
-                unsafe { self.remove_free_span(inner, hdr_ptr, idx + len, alen) };
+                unsafe { self.remove_free_span(&mut inner, hdr_ptr, idx + len, alen) };
                 len += alen;
             }
         }
@@ -614,7 +455,7 @@ impl VmblkLayer {
                     let blen = unsafe { before.inner() }.span_pages as usize;
                     let bstart = idx - blen;
                     // SAFETY: vm lock held; (bstart, blen) is a listed span.
-                    unsafe { self.remove_free_span(inner, hdr_ptr, bstart, blen) };
+                    unsafe { self.remove_free_span(&mut inner, hdr_ptr, bstart, blen) };
                     idx = bstart;
                     len += blen;
                 }
@@ -623,7 +464,7 @@ impl VmblkLayer {
                     // SAFETY: vm lock held.
                     debug_assert_eq!(unsafe { before.inner() }.span_pages, 1);
                     // SAFETY: vm lock held; (idx-1, 1) is a listed span.
-                    unsafe { self.remove_free_span(inner, hdr_ptr, idx - 1, 1) };
+                    unsafe { self.remove_free_span(&mut inner, hdr_ptr, idx - 1, 1) };
                     idx -= 1;
                     len += 1;
                 }
@@ -631,48 +472,13 @@ impl VmblkLayer {
             }
         }
         // SAFETY: vm lock held; the merged span is wholly ours.
-        unsafe { self.insert_free_span(inner, hdr_ptr, idx, len) };
+        unsafe { self.insert_free_span(&mut inner, hdr_ptr, idx, len) };
         let now_free = hdr.free_pages.load(Ordering::Relaxed) + npages;
         hdr.free_pages.store(now_free, Ordering::Relaxed);
-
         if self.release_empty && now_free == hdr.ndata {
             // SAFETY: vm lock held; the vmblk is entirely free.
-            unsafe { self.release_vmblk(inner, hdr_ptr) };
+            unsafe { self.release_vmblk(&mut inner, hdr_ptr) };
         }
-    }
-
-    /// Pulls every parked page off the lock-free cache and merges it back
-    /// into the boundary-tag structure (releasing any vmblk that becomes
-    /// entirely free). Returns the number of pages drained.
-    ///
-    /// A vmblk can only become fully free once *all* of its cached pages
-    /// have been drained — parked pages are excluded from `free_pages` —
-    /// so a popped descriptor's header is always still live here.
-    fn drain_cache_locked(&self, inner: &mut VmInner) -> usize {
-        let mut drained = 0;
-        for cache in self.page_cache.iter() {
-            while let (Some(pd), _) = cache.stack.pop() {
-                cache.drained.bump();
-                drained += 1;
-                // SAFETY: the pop transferred possession to us.
-                let pdr = unsafe { &*pd };
-                debug_assert_eq!(pdr.kind(), PdKind::Cached);
-                pdr.set_kind(PdKind::Unused);
-                let (hdr, idx, _) = self.locate(pd, 1);
-                // SAFETY: lock held; the parked page is free and unlisted.
-                // Its frame was released at park time, so no phys
-                // accounting.
-                unsafe { self.merge_free_locked(inner, hdr, idx, 1) };
-            }
-        }
-        drained
-    }
-
-    /// Drains the whole-page cache into the span structure — the reclaim
-    /// hook for arena teardown and memory-pressure response.
-    pub fn drain_page_cache(&self) {
-        let mut inner = self.inner.lock();
-        self.drain_cache_locked(&mut inner);
     }
 
     /// Allocates a block larger than the largest size class: a dedicated
@@ -791,18 +597,11 @@ impl VmblkLayer {
             let hdr = unsafe { &*cur };
             let mut idx = 0;
             let mut free_here = 0;
-            let mut cached_here = 0;
             while idx < hdr.ndata {
                 // SAFETY: descriptor of a data page of a live vmblk.
                 let pd = unsafe { &*hdr.pd(idx) };
                 match pd.kind() {
                     PdKind::BlockPage => idx += 1,
-                    PdKind::Cached => {
-                        // Parked on the page cache: frame released, page
-                        // outside the span structure and `free_pages`.
-                        cached_here += 1;
-                        idx += 1;
-                    }
                     PdKind::Large => {
                         // SAFETY: vm lock held.
                         let l = unsafe { pd.inner() }.span_pages as usize;
@@ -850,7 +649,7 @@ impl VmblkLayer {
             }
             assert_eq!(free_here, hdr.free_pages(), "free-page count drifted");
             walked_free += free_here;
-            expected_phys += hdr.header_pages + hdr.ndata - free_here - cached_here;
+            expected_phys += hdr.header_pages + hdr.ndata - free_here;
             cur = hdr.next.load(Ordering::Relaxed);
         }
         // Span lists account for exactly the walked free pages.
@@ -924,21 +723,16 @@ impl VmblkLayer {
                 .map(|pd| (pd, unsafe { (*pd).inner() }.span_pages as usize))
                 .find(|&(_, len)| len >= npages)
         });
-        pick.map(|(pd, len)| self.locate(pd, len))
-    }
-
-    /// Maps a descriptor pointer back to `(header, page index, len)` using
-    /// the dope vector (descriptors live inside their vmblk, so the same
-    /// two-level lookup that resolves blocks resolves them).
-    fn locate(&self, pd: *mut PageDesc, len: usize) -> (*mut VmblkHeader, usize, usize) {
-        // SAFETY: callers pass descriptors of live vmblks (listed or
-        // just popped), which lie in type-stable header storage.
-        let at = self.page_of(unsafe { &*pd });
-        (
-            at.hdr as *const VmblkHeader as *mut VmblkHeader,
-            at.idx,
-            len,
-        )
+        pick.map(|(pd, len)| {
+            // SAFETY: a listed descriptor of a live vmblk, in type-stable
+            // header storage.
+            let at = self.page_of(unsafe { &*pd });
+            (
+                at.hdr as *const VmblkHeader as *mut VmblkHeader,
+                at.idx,
+                len,
+            )
+        })
     }
 
     /// Links a free span into the lists and writes its boundary tags.
@@ -1040,7 +834,7 @@ impl VmblkLayer {
             unsafe { PageDesc::init((*hdr).pd(i)) };
         }
         inner.vmblks = hdr;
-        // Publish *before* inserting the span: `locate` resolves
+        // Publish *before* inserting the span: `find_span` resolves
         // descriptors through the dope vector.
         self.space.set_dope(region.index(), hdr as usize);
         // SAFETY: vm lock held; the whole data area is free and unlisted.
@@ -1269,136 +1063,91 @@ mod tests {
         assert_eq!(l.nvmblks(), 1);
     }
 
-    fn cached_layer(faults: Faults) -> VmblkLayer {
-        let space = Arc::new(KernelSpace::new(
-            SpaceConfig::new(1 << 20).vmblk_shift(14).phys_pages(256),
-        ));
-        VmblkLayer::new_with_cache(space, true, faults)
+    /// What a failed allocation must leave as it found it: the span
+    /// lists, their summary, every vmblk's free-page count, the frames in
+    /// use and the vmblks live.
+    fn untouched_state(l: &VmblkLayer) -> (usize, u64, Vec<usize>, usize, usize) {
+        let mut free_pages = Vec::new();
+        l.for_each_vmblk(|h| free_pages.push(h.free_pages()));
+        let nonempty = l.inner.lock().nonempty;
+        (
+            l.free_span_pages(),
+            nonempty,
+            free_pages,
+            l.space().phys().in_use(),
+            l.nvmblks(),
+        )
     }
 
-    #[test]
-    fn page_cache_parks_and_reuses_whole_pages() {
-        let l = cached_layer(Faults::none());
-        let (a, _) = l.alloc_span(1).unwrap();
-        // SAFETY: span just allocated, unreferenced.
-        unsafe { l.free_span(a, 1) };
-        // Parked, not merged: the vmblk stays pinned (header frame only),
-        // the data frame is already back in the pool.
-        assert_eq!(l.nvmblks(), 1);
-        assert_eq!(l.space().phys().in_use(), 1);
-        assert_eq!(l.stats().cache_puts, 1);
-        l.verify();
-        // The next single-page request is served straight from the cache.
-        let (b, _) = l.alloc_span(1).unwrap();
-        assert_eq!(b, a);
-        assert_eq!(l.stats().cache_hits, 1);
-        // SAFETY: span just allocated, unreferenced.
-        unsafe { l.free_span(b, 1) };
-        l.drain_page_cache();
-        // Drained: the page merges back, the vmblk becomes entirely free
-        // and is released.
-        assert_eq!(l.nvmblks(), 0);
-        assert_eq!(l.space().phys().in_use(), 0);
-        l.verify();
-    }
-
-    #[test]
-    fn page_cache_stops_parking_at_its_cap() {
-        let space = Arc::new(KernelSpace::new(
-            SpaceConfig::new(1 << 22).vmblk_shift(20).phys_pages(512),
-        ));
-        let l = VmblkLayer::new_with_cache(space, true, Faults::none());
-        let over = PAGE_CACHE_CAP + 6;
-        let pages: Vec<_> = (0..over).map(|_| l.alloc_span(1).unwrap().0).collect();
-        for p in pages {
-            // SAFETY: span allocated above, unreferenced.
-            unsafe { l.free_span(p, 1) };
-        }
-        // The cap's worth parked; the rest merged under the lock.
-        let st = l.stats();
-        assert_eq!(st.cache_puts, PAGE_CACHE_CAP);
-        assert_eq!((st.span_allocs, st.span_frees), (over, over));
-        assert_eq!(
-            l.free_span_pages() as u64,
-            l.max_span_pages() as u64 - PAGE_CACHE_CAP
-        );
-        // A hit makes room for one more.
-        let (p, _) = l.alloc_span(1).unwrap();
-        assert_eq!(l.stats().cache_hits, 1);
-        // SAFETY: span just allocated, unreferenced.
-        unsafe { l.free_span(p, 1) };
-        assert_eq!(l.stats().cache_puts, PAGE_CACHE_CAP + 1);
-        l.verify();
-        l.drain_page_cache();
-        assert_eq!(l.nvmblks(), 0);
-        assert_eq!(l.space().phys().in_use(), 0);
-    }
-
-    #[test]
-    fn span_request_drains_cache_into_merge_path() {
-        let l = cached_layer(Faults::none());
-        let (a, _) = l.alloc_span(1).unwrap();
-        let (b, _) = l.alloc_span(1).unwrap();
-        let (c, _) = l.alloc_span(1).unwrap();
-        // SAFETY: spans just allocated, unreferenced.
-        unsafe {
-            l.free_span(a, 1);
-            l.free_span(b, 1);
-            l.free_span(c, 1);
-        }
-        // All three pages parked: no free span anywhere.
-        assert_eq!(l.stats().cache_puts, 3);
-        assert_eq!(l.free_span_pages(), 0);
-        // A multi-page request cannot hit the cache; the slow path drains
-        // the parked pages back into the boundary-tag structure, where
-        // they coalesce, before carving a new vmblk.
-        let d = l.alloc_large(2 * PAGE_SIZE).unwrap();
-        l.verify();
-        // SAFETY: block just allocated, unreferenced.
-        unsafe { l.free_large(d) };
-        l.drain_page_cache();
-        assert_eq!(l.nvmblks(), 0);
-        assert_eq!(l.space().phys().in_use(), 0);
-    }
-
-    #[test]
-    fn vmblk_cache_fault_covers_put_and_get_paths() {
+    fn faulted_layer() -> (VmblkLayer, Arc<kmem_smp::FaultPlan>) {
         let faults = Faults::with_plan();
         let plan = Arc::clone(faults.plan().unwrap());
-        let l = cached_layer(faults);
-        plan.set(
-            kmem_smp::faults::VMBLK_CACHE,
-            kmem_smp::FailPolicy::Script(vec![false, false, true, true, false, false]),
-        );
-        let (a, _) = l.alloc_span(1).unwrap(); // consult 1: cache empty anyway
-                                               // SAFETY: span just allocated, unreferenced.
-        unsafe { l.free_span(a, 1) }; // consult 2: parked
-        assert_eq!(l.stats().cache_puts, 1);
-        // Fault on the get: the parked page is ignored, the boundary-tag
-        // path serves a different page of the same vmblk.
-        let (b, _) = l.alloc_span(1).unwrap(); // consult 3: FIRE
-        assert_ne!(b, a);
-        assert_eq!(l.stats().cache_hits, 0);
-        // Fault on the put: the free takes the locked merge path.
-        // SAFETY: span just allocated, unreferenced.
-        unsafe { l.free_span(b, 1) }; // consult 4: FIRE
-        assert_eq!(l.stats().cache_puts, 1);
+        let space = Arc::new(KernelSpace::new_with_faults(
+            SpaceConfig::new(1 << 20).vmblk_shift(14).phys_pages(256),
+            faults,
+        ));
+        (VmblkLayer::new(space, true), plan)
+    }
+
+    #[test]
+    fn injected_claim_failure_changes_nothing_and_unlocks() {
+        use kmem_smp::{faults, FailPolicy};
+
+        let (l, plan) = faulted_layer();
+        let a = l.alloc_large(2 * PAGE_SIZE).unwrap();
+        let before = untouched_state(&l);
+        // The span's own claim fails: nothing was found or carved yet.
+        plan.set(faults::PHYS_CLAIM, FailPolicy::Script(vec![true]));
+        assert!(matches!(
+            l.alloc_span(1),
+            Err(VmError::OutOfPhysical { .. })
+        ));
+        assert!(!l.inner.is_locked(), "failed claim kept the lock");
+        assert_eq!(untouched_state(&l), before);
+        // The span's claim succeeds but the new vmblk's header claim
+        // fails: the span's frames go back, the carve is undone.
+        plan.set(faults::PHYS_CLAIM, FailPolicy::Script(vec![false, true]));
+        assert!(matches!(
+            l.alloc_span(2),
+            Err(VmError::OutOfPhysical { .. })
+        ));
+        assert!(!l.inner.is_locked(), "failed header claim kept the lock");
+        assert_eq!(untouched_state(&l), before);
         l.verify();
-        // Faults exhausted: the cache works again end to end.
-        let (c, _) = l.alloc_span(1).unwrap(); // consult 5: cache hit
-        assert_eq!(c, a);
-        assert_eq!(l.stats().cache_hits, 1);
-        // SAFETY: span just allocated, unreferenced.
-        unsafe { l.free_span(c, 1) }; // consult 6: parked
-        let st = plan
-            .site_stats()
-            .into_iter()
-            .find(|s| s.site == kmem_smp::faults::VMBLK_CACHE)
-            .unwrap();
-        assert_eq!((st.hits, st.fired), (6, 2));
-        l.drain_page_cache();
-        assert_eq!(l.space().phys().in_use(), 0);
+        // Script exhausted: the next allocation works.
+        let b = l.alloc_large(PAGE_SIZE).unwrap();
         l.verify();
+        // SAFETY: blocks allocated above, unreferenced.
+        unsafe {
+            l.free_large(a);
+            l.free_large(b);
+        }
+        assert_eq!((l.nvmblks(), l.space().phys().in_use()), (0, 0));
+    }
+
+    #[test]
+    fn injected_carve_failure_returns_the_frames_and_unlocks() {
+        use kmem_smp::{faults, FailPolicy};
+
+        let (l, plan) = faulted_layer();
+        // Two of the vmblk's three data pages: a second 2-page span needs
+        // a new vmblk.
+        let a = l.alloc_large(2 * PAGE_SIZE).unwrap();
+        let before = untouched_state(&l);
+        plan.set(faults::VM_CARVE, FailPolicy::Script(vec![true]));
+        assert_eq!(l.alloc_span(2).unwrap_err(), VmError::OutOfVirtual);
+        assert!(!l.inner.is_locked(), "failed carve kept the lock");
+        assert_eq!(untouched_state(&l), before);
+        l.verify();
+        let b = l.alloc_large(2 * PAGE_SIZE).unwrap();
+        assert_eq!(l.nvmblks(), 2);
+        l.verify();
+        // SAFETY: blocks allocated above, unreferenced.
+        unsafe {
+            l.free_large(a);
+            l.free_large(b);
+        }
+        assert_eq!((l.nvmblks(), l.space().phys().in_use()), (0, 0));
     }
 
     #[test]
@@ -1475,24 +1224,17 @@ mod tests {
     #[test]
     fn span_pair_steps_do_not_grow_with_span_length() {
         // 1 MB vmblks (251 data pages) so a 64-page span fits.
-        let layer = |cached| {
-            let space = Arc::new(KernelSpace::new(
-                SpaceConfig::new(1 << 22).vmblk_shift(20).phys_pages(512),
-            ));
-            let l = if cached {
-                VmblkLayer::new_with_cache(space, true, Faults::none())
-            } else {
-                VmblkLayer::new(space, true)
-            };
-            // Warm: a pinned block keeps the vmblk, and one big pair puts
-            // the pool's high-water mark above anything measured below.
-            let pin = l.alloc_large(2 * PAGE_SIZE).unwrap();
-            let big = l.alloc_large(64 * PAGE_SIZE).unwrap();
-            // SAFETY: block just allocated, unreferenced.
-            unsafe { l.free_large(big) };
-            (l, pin)
-        };
-        let large_pair = |l: &VmblkLayer, pages: usize| {
+        let space = Arc::new(KernelSpace::new(
+            SpaceConfig::new(1 << 22).vmblk_shift(20).phys_pages(512),
+        ));
+        let l = VmblkLayer::new(space, true);
+        // Warm: a pinned block keeps the vmblk, and one big pair puts the
+        // pool's high-water mark above anything measured below.
+        let pin = l.alloc_large(2 * PAGE_SIZE).unwrap();
+        let big = l.alloc_large(64 * PAGE_SIZE).unwrap();
+        // SAFETY: block just allocated, unreferenced.
+        unsafe { l.free_large(big) };
+        let large_pair = |pages: usize| {
             let ((), events) = probe::record(|| {
                 let p = l.alloc_large(pages * PAGE_SIZE).unwrap();
                 // SAFETY: block just allocated, unreferenced.
@@ -1500,77 +1242,23 @@ mod tests {
             });
             event_string(&events)
         };
-        let page_pair = |l: &VmblkLayer| {
-            let ((), events) = probe::record(|| {
-                let (p, _) = l.alloc_span(1).unwrap();
-                // SAFETY: span just allocated, unreferenced.
-                unsafe { l.free_span(p, 1) };
-            });
-            event_string(&events)
-        };
+        let ((), events) = probe::record(|| {
+            let (p, _) = l.alloc_span(1).unwrap();
+            // SAFETY: span just allocated, unreferenced.
+            unsafe { l.free_span(p, 1) };
+        });
+        let page = event_string(&events);
 
-        let (l, pin) = layer(true);
-        let two = large_pair(&l, 2);
-        assert_eq!(two, large_pair(&l, 64), "steps depend on span length");
-        // Claim 2, release 1, the boundary-tag lock twice.
-        assert!(interlocked(&two) <= 5, "large pair: {two}");
-        // The first single-page pair parks its page; the second rides the
-        // lock-free cache both ways.
-        page_pair(&l);
-        let cached = page_pair(&l);
-        assert!(!cached.contains('L'), "cached pair took the lock: {cached}");
-        assert!(interlocked(&cached) <= 8, "cached page pair: {cached}");
-        assert_eq!(l.stats().cache_hits, 1);
-        assert_eq!(l.stats().cache_puts, 2);
-        // SAFETY: block allocated above, unreferenced.
-        unsafe { l.free_large(pin) };
-        l.drain_page_cache();
-        assert_eq!(l.nvmblks(), 0);
-
-        let (l, pin) = layer(false);
-        let locked = page_pair(&l);
-        assert!(interlocked(&locked) <= 5, "locked page pair: {locked}");
+        let two = large_pair(2);
+        assert_eq!(two, large_pair(64), "steps depend on span length");
+        assert_eq!(page, two, "a single page takes another path");
+        // The lock twice; the frame account (under it) and the home node
+        // (after it) are plain writes.
+        assert_eq!(two, "LwuwLwu");
+        assert_eq!(interlocked(&two), 2);
         // SAFETY: block allocated above, unreferenced.
         unsafe { l.free_large(pin) };
         assert_eq!(l.nvmblks(), 0);
-    }
-
-    #[test]
-    fn page_cache_is_sharded_by_home_node() {
-        let space = Arc::new(KernelSpace::new(
-            SpaceConfig::new(1 << 20)
-                .vmblk_shift(14)
-                .phys_pages(256)
-                .nodes(2),
-        ));
-        let l = VmblkLayer::new_with_cache(space, true, Faults::none());
-        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
-        let (a, pda) = l.alloc_span_on(1, n0).unwrap();
-        let (b, pdb) = l.alloc_span_on(1, n1).unwrap();
-        assert_eq!(pda.home_node(), n0);
-        assert_eq!(pdb.home_node(), n1);
-        // SAFETY: spans just allocated, unreferenced.
-        unsafe {
-            l.free_span(a, 1);
-            l.free_span(b, 1);
-        }
-        assert_eq!(l.stats().cache_puts, 2);
-        // A node-1 request takes the page parked on node 1's cache...
-        let (c, pdc) = l.alloc_span_on(1, n1).unwrap();
-        assert_eq!(c, b);
-        assert_eq!(pdc.home_node(), n1);
-        // ...and with that cache empty, the node-0 page is the fallback.
-        let (d, _) = l.alloc_span_on(1, n1).unwrap();
-        assert_eq!(d, a);
-        assert_eq!(l.stats().cache_hits, 2);
-        // SAFETY: spans just allocated, unreferenced.
-        unsafe {
-            l.free_span(c, 1);
-            l.free_span(d, 1);
-        }
-        l.drain_page_cache();
-        assert_eq!(l.space().phys().in_use(), 0);
-        l.verify();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! ABA regression test for the generation-tagged page lists.
 //!
-//! The page layer's radix buckets and the vmblk page cache are Treiber
-//! stacks of `PageDesc` linked through `anext` under a [`TaggedAtomic`]
+//! The page layer's radix buckets are Treiber stacks of `PageDesc`
+//! linked through `anext` under a [`TaggedAtomic`]
 //! head. A plain pointer CAS would be unsound there: between a popper's
 //! head load and its CAS, the same descriptor can be popped, recycled and
 //! pushed back (the ABA problem), and the CAS would splice a stale —

@@ -35,9 +35,6 @@ use crate::spinlock::SpinLock;
 pub const PHYS_CLAIM: &str = "phys.claim";
 /// Failpoint site: carving a fresh vmblk out of the kernel space.
 pub const VM_CARVE: &str = "vm.carve";
-/// Failpoint site: the vmblk layer's lock-free whole-page cache (a firing
-/// consult bypasses the cache, forcing the locked carve/merge slow path).
-pub const VMBLK_CACHE: &str = "vmblk.cache";
 /// Failpoint site: the coalesce-to-page layer acquiring / carving a page.
 pub const PAGE_GET: &str = "page.get";
 /// Failpoint site: the coalesce-to-page layer's claim of a fully free page
@@ -57,10 +54,9 @@ pub const PERCPU_REFILL: &str = "percpu.refill";
 
 /// Every registered failpoint site, in layer order (outermost backend
 /// first). Torture drivers iterate this to arm each site in rotation.
-pub const ALL_SITES: [&str; 9] = [
+pub const ALL_SITES: [&str; 8] = [
     PHYS_CLAIM,
     VM_CARVE,
-    VMBLK_CACHE,
     PAGE_GET,
     PAGE_COALESCE,
     GLOBAL_GET,

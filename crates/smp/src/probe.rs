@@ -66,14 +66,6 @@ pub fn emit(ev: ProbeEvent) {
     }
 }
 
-/// Reports an interlocked read-modify-write on `word`'s cache line.
-#[inline]
-pub fn emit_rmw<T>(word: &T) {
-    emit(ProbeEvent::LineRmw {
-        line: line_of(word),
-    });
-}
-
 /// Starts recording probe events on the current thread.
 ///
 /// Any events from a previous recording that were never taken are discarded.

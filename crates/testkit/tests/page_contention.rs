@@ -1,18 +1,19 @@
-//! Focused contention regression for the lock-free page & vmblk layers.
+//! Focused contention regression for the lock-free page layer over the
+//! vmblk layer.
 //!
 //! The radix-list rework removed every lock from the page layer's steady
-//! state: tagged-pointer bucket stacks, per-page atomic free counts with
-//! coalesce-by-counter, and a lock-free whole-page cache in front of the
-//! vmblk boundary-tag lock. These tests hammer that whole stack with real
-//! threads — chain rings churning the radix lists, periodic full drains
-//! forcing coalesce-to-page and cache traffic — and then assert the
-//! conservation contract: every page and block accounted for, the layer
-//! and the vmblk span structure both drained to empty.
+//! state: tagged-pointer bucket stacks and per-page atomic free counts
+//! with coalesce-by-counter, over the vmblk layer's boundary-tag lock.
+//! These tests hammer that whole stack with real threads — chain rings
+//! churning the radix lists, periodic full drains forcing coalesce-to-page
+//! and whole pages back through the boundary-tag lock — and then assert
+//! the conservation contract: every page and block accounted for, the
+//! layer and the vmblk span structure both drained to empty.
 //!
 //! The thread count honours `KMEM_PAGE_THREADS` (the CI sweep drives
-//! 2/4/8), and `KMEM_TORTURE_FAULTS=1` arms the `page.get`,
-//! `page.coalesce`, and `vmblk.cache` failpoints so injected misses,
-//! deferred coalesces, and cache bypasses interleave with real contention.
+//! 2/4/8), and `KMEM_TORTURE_FAULTS=1` arms the `page.get` and
+//! `page.coalesce` failpoints so injected misses and deferred coalesces
+//! interleave with real contention.
 
 use std::collections::VecDeque;
 
@@ -31,8 +32,8 @@ const WANT: usize = 3;
 /// Standing chains each thread holds, oldest freed before each alloc.
 const RING: usize = 4;
 /// Every this many rounds a thread frees its whole ring, driving page
-/// counts to `blocks_per_page` so coalesce-to-page and the vmblk page
-/// cache see traffic even single-threaded.
+/// counts to `blocks_per_page` so coalesce-to-page and the vmblk layer
+/// see traffic even single-threaded.
 const DRAIN_EVERY: usize = 64;
 const OPS: usize = 6_000;
 
@@ -57,8 +58,8 @@ fn env_faults() -> bool {
 /// The storm: every thread rings short chains through one shared layer —
 /// the refill/free pattern the global layer generates — with periodic
 /// full drains so pages cross the empty↔full boundary under fire. With
-/// faults armed, allocation failures, deferred coalesces, and cache
-/// bypasses are injected throughout; the recovery pass (`flush_full_pages`)
+/// faults armed, allocation failures and deferred coalesces are injected
+/// throughout; the recovery pass (`flush_full_pages`)
 /// must still find and release every fault-stranded full page, and not a
 /// page or block may be lost either way.
 #[test]
@@ -80,7 +81,7 @@ fn ring_storm(block_size: usize, want: usize) {
     } else {
         Faults::none()
     };
-    let vm = VmblkLayer::new_with_cache(space(), true, faults_handle.clone());
+    let vm = VmblkLayer::new(space(), true);
     let layer = PageLayer::new_hardened(
         CLASS,
         block_size,
@@ -91,11 +92,10 @@ fn ring_storm(block_size: usize, want: usize) {
         false,
     );
 
-    const ARMED: [(&str, u64); 3] = [
+    const ARMED: [(&str, u64); 2] = [
         // Sparse injected misses: real traffic still dominates.
         (faults::PAGE_GET, 13),
         (faults::PAGE_COALESCE, 5),
-        (faults::VMBLK_CACHE, 7),
     ];
     if let Some(plan) = faults_handle.plan() {
         for (site, nth) in ARMED {
@@ -148,10 +148,9 @@ fn ring_storm(block_size: usize, want: usize) {
         }
     }
 
-    // Recovery + teardown: settle fault-stranded full pages, unpark the
-    // page cache, and everything must come back to zero.
+    // Recovery + teardown: settle fault-stranded full pages, and
+    // everything must come back to zero.
     layer.flush_full_pages(&vm);
-    vm.drain_page_cache();
     assert_eq!(layer.usage(), (0, 0), "pages or blocks leaked");
     let st = layer.stats();
     assert_eq!(
@@ -166,51 +165,5 @@ fn ring_storm(block_size: usize, want: usize) {
         vst.vmblks_created, vst.vmblks_released,
         "empty vmblks not released"
     );
-    vm.verify();
-}
-
-/// Page cycling must ride the lock-free whole-page cache: a full drain
-/// releases pages to the cache (`cache_puts`), and the next refill takes
-/// them back without the boundary-tag lock (`cache_hits`). Faults stay
-/// off here — this pins the fast path itself.
-#[test]
-fn page_cycles_ride_the_whole_page_cache() {
-    let threads = env_threads();
-    let vm = VmblkLayer::new_with_cache(space(), true, Faults::none());
-    let layer = PageLayer::new(CLASS, BLOCK_SIZE, true);
-    let per_page = layer.blocks_per_page();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                for _ in 0..500 {
-                    // A full page's worth of blocks out, then everything
-                    // back: the frees coalesce whole pages, which must
-                    // park on the page cache and serve the next round.
-                    let mut held = Vec::new();
-                    for _ in 0..2 {
-                        if let Ok(c) = layer.alloc_chain(&vm, per_page) {
-                            held.push(c);
-                        }
-                    }
-                    for c in held {
-                        // SAFETY: chains came from this layer.
-                        unsafe { layer.free_chain(&vm, c) };
-                    }
-                }
-            });
-        }
-    });
-
-    let vst = vm.stats();
-    assert!(vst.cache_puts > 0, "no page ever parked on the cache");
-    assert!(vst.cache_hits > 0, "no refill ever hit the cache");
-
-    layer.flush_full_pages(&vm);
-    vm.drain_page_cache();
-    assert_eq!(layer.usage(), (0, 0), "pages or blocks leaked");
-    // Draining moves parked pages, it frees none: the sums still balance.
-    let vst = vm.stats();
-    assert_eq!(vst.span_allocs, vst.span_frees);
     vm.verify();
 }

@@ -10,20 +10,36 @@
 //! meaningful, and the `in_use == 0` check after a full drain is the
 //! observable form of the paper's claim that every fully freed page leaves
 //! the allocator.
+//!
+//! # Who writes the account
+//!
+//! Every writer of a pool is serialised by its owner: no two `claim` /
+//! `release` calls (nor their node-addressed forms on [`NodePhysPools`])
+//! may run at once. The vmblk layer makes all of its claims and releases
+//! under its boundary-tag lock, and the baseline allocators under their
+//! one lock, so the account is updated with plain loads and stores — no
+//! interlocked instruction. The owner's lock orders the writers (its
+//! acquire follows the previous holder's release), so the stores are
+//! `Relaxed`; the account publishes no other data. Readers ([`in_use`](PhysPool::in_use),
+//! [`available`](PhysPool::available), [`peak`](PhysPool::peak),
+//! [`total_mapped`](PhysPool::total_mapped)) are lock-free atomic loads
+//! from any thread. Debug builds check the contract: a writer that
+//! arrives while another is inside panics instead of losing an update.
 
+#[cfg(debug_assertions)]
+use core::sync::atomic::AtomicBool;
 use core::sync::atomic::{AtomicUsize, Ordering};
 
-use kmem_smp::probe;
+use kmem_smp::probe::{self, ProbeEvent};
 use kmem_smp::{faults, Faults, NodeId};
 
 use crate::error::VmError;
 
 /// A bounded pool of physical page frames.
 ///
-/// A claim/release pair costs three interlocked operations in the steady
-/// state: the `in_use` exchange and the `maps` add on the claim, the
-/// `in_use` subtract on the release. Each is reported to the simulator as
-/// a [`ProbeEvent::LineRmw`] on the pool's line.
+/// Writers are serialised by the pool's owner (see the module docs), so a
+/// claim or a release is loads and stores, reported to the simulator as
+/// one [`ProbeEvent::LineWrite`] on the pool's line.
 pub struct PhysPool {
     capacity: usize,
     in_use: AtomicUsize,
@@ -35,6 +51,9 @@ pub struct PhysPool {
     maps: AtomicUsize,
     /// Failpoint handle; `faults::PHYS_CLAIM` can force claim failures.
     faults: Faults,
+    /// Set while a writer is inside `claim` or `release`.
+    #[cfg(debug_assertions)]
+    writing: AtomicBool,
 }
 
 impl PhysPool {
@@ -51,6 +70,8 @@ impl PhysPool {
             peak: AtomicUsize::new(0),
             maps: AtomicUsize::new(0),
             faults,
+            #[cfg(debug_assertions)]
+            writing: AtomicBool::new(false),
         }
     }
 
@@ -86,51 +107,49 @@ impl PhysPool {
         self.total_mapped().saturating_sub(self.in_use())
     }
 
-    /// Reports an interlocked update of one of the pool's words. All are
-    /// reported on `in_use`'s line: the pool is modelled as the one line
-    /// it nearly always is, so a simulated run does not depend on where
-    /// the allocator happened to place it.
+    /// Runs one write of the account. The pool is reported as the one
+    /// line it nearly always is (`in_use`'s), so a simulated run does not
+    /// depend on where the allocator happened to place it.
     #[inline]
-    fn emit_rmw(&self) {
-        probe::emit_rmw(&self.in_use);
+    fn write<R>(&self, f: impl FnOnce() -> R) -> R {
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.writing.swap(true, Ordering::Acquire),
+            "physical page pool: two writers overlap (the owner must serialise them)"
+        );
+        let r = f();
+        #[cfg(debug_assertions)]
+        self.writing.store(false, Ordering::Release);
+        r
+    }
+
+    /// Reports the write of a claim or a release.
+    #[inline]
+    fn emit_write(&self) {
+        probe::emit(ProbeEvent::LineWrite {
+            line: probe::line_of(&self.in_use),
+        });
     }
 
     /// Claims `n` frames, failing (with no partial claim) if fewer are free.
     pub fn claim(&self, n: usize) -> Result<(), VmError> {
-        if self.faults.hit(faults::PHYS_CLAIM) {
-            return Err(VmError::OutOfPhysical {
-                requested: n,
-                available: self.available(),
-            });
-        }
-        let mut cur = self.in_use.load(Ordering::Relaxed);
-        loop {
-            let new = cur + n;
-            if new > self.capacity {
+        self.write(|| {
+            let cur = self.in_use();
+            if self.faults.hit(faults::PHYS_CLAIM) || cur + n > self.capacity {
                 return Err(VmError::OutOfPhysical {
                     requested: n,
                     available: self.capacity - cur,
                 });
             }
-            self.emit_rmw();
-            match self
-                .in_use
-                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    self.emit_rmw();
-                    self.maps.fetch_add(n, Ordering::Relaxed);
-                    // `fetch_max` keeps racing raisers correct; the load
-                    // keeps every claim below the mark from paying for it.
-                    if new > self.peak.load(Ordering::Relaxed) {
-                        self.emit_rmw();
-                        self.peak.fetch_max(new, Ordering::Relaxed);
-                    }
-                    return Ok(());
-                }
-                Err(actual) => cur = actual,
+            let new = cur + n;
+            self.emit_write();
+            self.in_use.store(new, Ordering::Relaxed);
+            self.maps.store(self.total_mapped() + n, Ordering::Relaxed);
+            if new > self.peak() {
+                self.peak.store(new, Ordering::Relaxed);
             }
-        }
+            Ok(())
+        })
     }
 
     /// Releases `n` previously claimed frames back to the pool.
@@ -140,9 +159,12 @@ impl PhysPool {
     /// Panics if more frames are released than were claimed — that is a
     /// double-unmap bug in the caller.
     pub fn release(&self, n: usize) {
-        self.emit_rmw();
-        let prev = self.in_use.fetch_sub(n, Ordering::AcqRel);
-        assert!(prev >= n, "physical page pool: released more than claimed");
+        self.write(|| {
+            let cur = self.in_use();
+            assert!(cur >= n, "physical page pool: released more than claimed");
+            self.emit_write();
+            self.in_use.store(cur - n, Ordering::Relaxed);
+        })
     }
 }
 
@@ -156,11 +178,16 @@ impl PhysPool {
 /// [`release_on`] pair the node-aware layers use.
 ///
 /// Capacity is split evenly across nodes, remainder to the first nodes.
+/// Writers of the facade are serialised as a pool's are (module docs).
 ///
 /// [`claim_on`]: NodePhysPools::claim_on
 /// [`release_on`]: NodePhysPools::release_on
 pub struct NodePhysPools {
     nodes: Box<[PhysPool]>,
+    /// High-water mark of frames claimed across all nodes at once, raised
+    /// by the claim that sets it. (The per-node marks are reached at
+    /// different moments, so their sum is not it.)
+    peak: AtomicUsize,
 }
 
 impl NodePhysPools {
@@ -177,7 +204,10 @@ impl NodePhysPools {
         let nodes = (0..nnodes)
             .map(|i| PhysPool::with_faults(base + usize::from(i < rem), faults.clone()))
             .collect();
-        NodePhysPools { nodes }
+        NodePhysPools {
+            nodes,
+            peak: AtomicUsize::new(0),
+        }
     }
 
     /// Number of node pools.
@@ -207,10 +237,9 @@ impl NodePhysPools {
         self.nodes.iter().map(|p| p.available()).sum()
     }
 
-    /// Sum of per-node high-water marks (an upper bound on the aggregate
-    /// peak; exact with one node).
+    /// High-water mark of frames claimed across all nodes at once.
     pub fn peak(&self) -> usize {
-        self.nodes.iter().map(|p| p.peak()).sum()
+        self.peak.load(Ordering::Relaxed)
     }
 
     /// Total successful claim page-count across all nodes.
@@ -235,10 +264,18 @@ impl NodePhysPools {
             requested: n,
             available: 0,
         };
-        for k in 0..nn {
-            let i = (start + k) % nn;
+        // Wrap-around order without a division per claim.
+        for i in (start..nn).chain(0..start) {
             match self.nodes[i].claim(n) {
-                Ok(()) => return Ok(NodeId::new(i)),
+                Ok(()) => {
+                    // Serialised writers: a load and, at a new mark, a
+                    // store — reported with the claim's own write.
+                    let total = self.in_use();
+                    if total > self.peak() {
+                        self.peak.store(total, Ordering::Relaxed);
+                    }
+                    return Ok(NodeId::new(i));
+                }
                 Err(e) => last = e,
             }
         }
@@ -329,28 +366,38 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_pair_is_three_rmws_and_a_new_peak_one_more() {
-        let rmws = |p: &PhysPool, n| {
+    fn steady_state_pair_is_two_writes_and_no_rmw() {
+        let p = PhysPool::new(10);
+        let line = probe::line_of(&p.in_use);
+        let pair = |n| {
             let ((), ev) = probe::record(|| {
                 p.claim(n).unwrap();
                 p.release(n);
             });
-            assert!(ev
-                .iter()
-                .all(|e| matches!(e, probe::ProbeEvent::LineRmw { .. })));
-            ev.len()
+            ev
         };
-        let p = PhysPool::new(10);
-        // The first claim raises the high-water mark from zero.
-        assert_eq!(rmws(&p, 4), 4);
-        // At or below the mark: in_use exchange, maps add, in_use subtract.
-        assert_eq!(rmws(&p, 4), 3);
-        assert_eq!(rmws(&p, 1), 3);
-        assert_eq!(rmws(&p, 5), 4);
+        // Whether or not the claim raises the high-water mark: one write
+        // of the pool's line each way, nothing interlocked.
+        for n in [4, 4, 1, 5] {
+            assert_eq!(pair(n), vec![ProbeEvent::LineWrite { line }; 2]);
+        }
         assert_eq!(
             (p.peak(), p.total_mapped(), p.total_unmapped()),
             (5, 14, 14)
         );
+        // A failed claim writes nothing.
+        let ((), ev) = probe::record(|| assert!(p.claim(11).is_err()));
+        assert!(ev.is_empty(), "{ev:?}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two writers overlap")]
+    fn overlapping_writers_are_caught_in_debug_builds() {
+        let p = PhysPool::new(10);
+        // As if another writer were inside `claim` right now.
+        p.writing.store(true, Ordering::Relaxed);
+        let _ = p.claim(1);
     }
 
     #[test]
@@ -470,13 +517,21 @@ mod tests {
 
     #[test]
     fn concurrent_claims_never_oversubscribe() {
+        // Writers serialised through one lock, as the vmblk layer's are;
+        // the bound is read lock-free meanwhile.
         let p = PhysPool::new(100);
+        let owner = kmem_smp::SpinLock::new(());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        if p.claim(3).is_ok() {
+                        let claimed = {
+                            let _g = owner.lock();
+                            p.claim(3).is_ok()
+                        };
+                        if claimed {
                             assert!(p.in_use() <= 100);
+                            let _g = owner.lock();
                             p.release(3);
                         }
                     }
@@ -484,5 +539,23 @@ mod tests {
             }
         });
         assert_eq!(p.in_use(), 0);
+        assert!(p.peak() <= 100);
+    }
+
+    #[test]
+    fn aggregate_peak_is_the_most_in_use_at_once() {
+        let p = NodePhysPools::new(8, 2); // 4 + 4
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        assert_eq!(p.claim_on(n0, 3).unwrap(), n0);
+        p.release_on(n0, 3);
+        assert_eq!(p.claim_on(n1, 3).unwrap(), n1);
+        // Each node reached 3, but never at the same time.
+        assert_eq!((p.node(n0).peak(), p.node(n1).peak()), (3, 3));
+        assert_eq!(p.peak(), 3);
+        assert_eq!(p.claim_on(n0, 2).unwrap(), n0);
+        assert_eq!(p.peak(), 5);
+        p.release_on(n1, 3);
+        p.release_on(n0, 2);
+        assert_eq!(p.peak(), 5);
     }
 }

@@ -84,11 +84,11 @@ for t in 2 4 8; do
 done
 
 echo "==> page-layer contention regression (thread sweep, faults on)"
-# The lock-free page & vmblk stack under real threads: chain rings churn
-# the tagged radix lists while periodic full drains force coalesce-to-page
-# and whole-page-cache traffic, with the page.get / page.coalesce /
-# vmblk.cache failpoints armed. Conservation and recovery are asserted
-# inside the tests.
+# The lock-free page layer over the vmblk layer under real threads: chain
+# rings churn the tagged radix lists while periodic full drains force
+# coalesce-to-page and whole pages back through the boundary-tag lock,
+# with the page.get / page.coalesce failpoints armed. Conservation and
+# recovery are asserted inside the tests.
 for t in 2 4 8; do
     echo "    KMEM_PAGE_THREADS=$t"
     KMEM_TORTURE_FAULTS=1 KMEM_PAGE_THREADS="$t" \
@@ -96,7 +96,8 @@ for t in 2 4 8; do
         --test page_contention
 done
 # The span path's step budget, where debug assertions cannot add steps:
-# interlocked operations per pair, and the same events for any span length.
+# the lock twice and nothing else interlocked per pair, and the same events
+# for one page and for any span length.
 cargo test -q --release --offline -p kmem --lib \
     span_pair_steps_do_not_grow_with_span_length
 
