@@ -59,13 +59,23 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// One (CPU, class) record: the cache and its counters side by side, so a
-/// class index is one bound check and one base address.
+/// class index is one bound check and one base address. Aligned to
+/// [`kmem_smp::pad::CACHE_LINE`]: a CPU's records then start and end on
+/// line boundaries its neighbour's never cross, and their 512-byte stride
+/// makes the index a shift.
+#[repr(align(128))]
 pub(crate) struct ClassSlot {
     cache: UnsafeCell<CpuCache>,
     /// Kept outside the `UnsafeCell` so statistics snapshots never alias
     /// the owner's cache borrow.
     stats: CacheStats,
 }
+
+const _: () = {
+    let stride = size_of::<ClassSlot>();
+    assert!(align_of::<ClassSlot>() == kmem_smp::pad::CACHE_LINE);
+    assert!(stride.is_power_of_two() && stride.is_multiple_of(64));
+};
 
 /// Per-CPU slot: one record per size class plus the drain-request flag.
 pub(crate) struct CpuSlot {
@@ -330,11 +340,13 @@ impl KmemArena {
 
     fn handle(&self, claim: CpuClaim) -> CpuHandle {
         let cpu = claim.cpu();
+        let slot = self.inner.slots.get(cpu);
         CpuHandle {
             cpu,
             node: self.inner.topology.node_of(cpu),
-            slot: NonNull::from(self.inner.slots.get(cpu)),
+            slot: NonNull::from(slot),
             plain_id: if self.inner.plain { self.inner.id } else { 0 },
+            classes: NonNull::from(&*slot.classes),
             claim,
             inner: Arc::clone(&self.inner),
             _not_sync: PhantomData,
@@ -801,14 +813,18 @@ pub struct CpuHandle {
     /// profile and for the cookie.
     slot: NonNull<CpuSlot>,
     plain_id: u64,
+    /// The slot's (CPU, class) records, base and count, resolved at
+    /// registration like `slot`: a class index is then one bound check
+    /// against the handle and one shift off it.
+    classes: NonNull<[ClassSlot]>,
     /// `Cell` suppresses `Sync` while leaving the handle `Send`.
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
 
-// SAFETY: `slot` points into the boxed slot array of `inner`, which the
-// handle's own `Arc` keeps alive and never moves, and `CpuSlot` is `Sync`:
-// the pointer travels like the `&CpuSlot` it stands for. The other fields
-// are `Send`.
+// SAFETY: `slot` points into the boxed slot array of `inner`, and
+// `classes` into that slot's boxed records, which the handle's own `Arc`
+// keeps alive and never moves; `CpuSlot` is `Sync`: the pointers travel
+// like the `&CpuSlot` they stand for. The other fields are `Send`.
 unsafe impl Send for CpuHandle {}
 
 impl CpuHandle {
@@ -919,7 +935,7 @@ impl CpuHandle {
                     if let Some(class) = class {
                         // After the alloc's own `alloc_fail` bump, so a
                         // live reader sees `sleep_retries <= alloc_fail`.
-                        self.slot().classes[class].stats.sleep_retries.bump();
+                        self.classes()[class].stats.sleep_retries.bump();
                     }
                     for _ in 0..spins {
                         core::hint::spin_loop();
@@ -962,11 +978,17 @@ impl CpuHandle {
     /// it to the whole path, which sorts out why.
     #[inline(always)]
     fn cookie_hit_slot(&self, cookie: Cookie) -> Option<&ClassSlot> {
-        let slot = self.slot();
-        if cookie.arena_id != self.plain_id || slot.drain.load(Ordering::Relaxed) {
+        if cookie.arena_id != self.plain_id || self.slot().drain.load(Ordering::Relaxed) {
             return None;
         }
-        slot.classes.get(cookie.class as usize)
+        self.classes().get(cookie.class as usize)
+    }
+
+    /// This CPU's (CPU, class) records.
+    #[inline(always)]
+    fn classes(&self) -> &[ClassSlot] {
+        // SAFETY: the records live in `self.inner`, which outlives `self`.
+        unsafe { self.classes.as_ref() }
     }
 
     /// [`CpuHandle::alloc_cookie`] in full.
@@ -1013,7 +1035,7 @@ impl CpuHandle {
         size: usize,
     ) -> Result<NonNull<u8>, AllocError> {
         let inner = &*self.inner;
-        let cs = &self.slot().classes[class];
+        let cs = &self.classes()[class];
         let stats = &cs.stats;
         let nth = stats.alloc.bump();
         // SAFETY: borrow scoped to this operation.
@@ -1167,7 +1189,7 @@ impl CpuHandle {
     /// first block.
     #[cold]
     fn alloc_class_slow(&self, class: usize, size: usize) -> Result<*mut u8, AllocError> {
-        let cs = &self.slot().classes[class];
+        let cs = &self.classes()[class];
         let stats = &cs.stats;
         let target = self.inner.shard(class, self.node).target();
         let chain = match self.take_chain(class, target) {
@@ -1394,7 +1416,7 @@ impl CpuHandle {
         block: *mut u8,
     ) -> Result<(), AllocError> {
         let inner = &*self.inner;
-        let cs = &self.slot().classes[class];
+        let cs = &self.classes()[class];
         let stats = &cs.stats;
         let nth = stats.free.bump();
         if !PLAIN && inner.hardened.poison {
@@ -1497,7 +1519,7 @@ impl CpuHandle {
     /// Flushes that evict nothing are not counted (every counted flush
     /// contributes at least one block to `flush_blocks`).
     fn flush_with_cause(&self, cause: FlushCause) {
-        for (class, cs) in self.slot().classes.iter().enumerate() {
+        for (class, cs) in self.classes().iter().enumerate() {
             // SAFETY: borrow scoped to this operation.
             let cache = unsafe { &mut *cs.cache.get() };
             let stats = &cs.stats;
@@ -1543,7 +1565,7 @@ impl CpuHandle {
     pub fn cached_blocks(&self) -> usize {
         (0..self.inner.classes.len())
             // SAFETY: read-only peek at our own caches.
-            .map(|c| unsafe { &*self.slot().classes[c].cache.get() }.len())
+            .map(|c| unsafe { &*self.classes()[c].cache.get() }.len())
             .sum()
     }
 
@@ -1551,7 +1573,7 @@ impl CpuHandle {
     /// paper's split-freelist bound is that each stays ≤ `target`).
     pub fn cache_shape(&self, class: usize) -> (usize, usize) {
         // SAFETY: read-only peek at our own cache.
-        unsafe { &*self.slot().classes[class].cache.get() }.shape()
+        unsafe { &*self.classes()[class].cache.get() }.shape()
     }
 }
 

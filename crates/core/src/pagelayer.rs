@@ -58,7 +58,7 @@
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
 
-use kmem_smp::{faults, EventCounter, Faults, NodeId, TaggedPtr};
+use kmem_smp::{faults, CachePadded, EventCounter, Faults, NodeId, TaggedPtr};
 use kmem_vm::{VmError, PAGE_SIZE};
 
 use crate::block::{self, LinkKey};
@@ -142,6 +142,19 @@ impl PageState {
     }
 }
 
+/// The words a [`PageLayer`] writes on the calls that reach it, kept off
+/// the lines of the words every call only reads: on two CPUs, a write
+/// beside `blocks_per_page` or `faults` would send every other call back
+/// to fetch that line.
+#[derive(Default)]
+struct HotWords {
+    /// Pages currently owned by this class.
+    npages: AtomicUsize,
+    /// Free blocks across all owned pages.
+    free_blocks: AtomicUsize,
+    stats: PageLayerStats,
+}
+
 /// The coalesce-to-page layer for one size class.
 pub struct PageLayer {
     class: usize,
@@ -152,10 +165,7 @@ pub struct PageLayer {
     /// true count may since have grown). Bucket 0 is unused; bucket
     /// `blocks_per_page` holds only fault-deferred full pages.
     buckets: PdBuckets,
-    /// Pages currently owned by this class.
-    npages: AtomicUsize,
-    /// Free blocks across all owned pages.
-    free_blocks: AtomicUsize,
+    hot: CachePadded<HotWords>,
     /// Link-encoding key for the per-page `afree` freelists (the arena
     /// key under the hardened profile, identity otherwise).
     key: LinkKey,
@@ -166,7 +176,6 @@ pub struct PageLayer {
     /// alloc holds for never-yet-allocated blocks too.
     poison: bool,
     faults: Faults,
-    stats: PageLayerStats,
 }
 
 impl PageLayer {
@@ -207,13 +216,11 @@ impl PageLayer {
             blocks_per_page,
             radix,
             buckets: PdBuckets::new(blocks_per_page + 1),
-            npages: AtomicUsize::new(0),
-            free_blocks: AtomicUsize::new(0),
+            hot: CachePadded::default(),
             key,
             shuffle_seed,
             poison,
             faults,
-            stats: PageLayerStats::default(),
         }
     }
 
@@ -224,7 +231,7 @@ impl PageLayer {
 
     /// Layer statistics.
     pub fn stats(&self) -> &PageLayerStats {
-        &self.stats
+        &self.hot.stats
     }
 
     /// Collects up to `want` blocks for the global layer.
@@ -255,7 +262,7 @@ impl PageLayer {
                 available: 0,
             });
         }
-        self.stats.refills.inc();
+        self.hot.stats.refills.inc();
         let mut chain = Chain::new_keyed(self.key);
         while chain.len() < want {
             let pd = match self.pop_page(vm) {
@@ -289,8 +296,8 @@ impl PageLayer {
         // blocks in flight counted early, never a total that a concurrent
         // reservation has already taken below zero.
         let total = chain.len();
-        self.stats.block_frees.add(total as u64);
-        self.free_blocks.fetch_add(total, Ordering::Relaxed);
+        self.hot.stats.block_frees.add(total as u64);
+        self.hot.free_blocks.fetch_add(total, Ordering::Relaxed);
         let mut spliced = 0;
         // The descriptor that ended the previous run starts the next one.
         let mut carried = None;
@@ -336,7 +343,7 @@ impl PageLayer {
                 match pd.afree().compare_exchange(head, run_head) {
                     Ok(_) => break,
                     Err(seen) => {
-                        self.stats.cas_retries.inc();
+                        self.hot.stats.cas_retries.inc();
                         head = seen;
                     }
                 }
@@ -361,7 +368,8 @@ impl PageLayer {
         }
         if spliced != total {
             // A hardened chain sank itself on a clobbered link.
-            self.free_blocks
+            self.hot
+                .free_blocks
                 .fetch_sub(total - spliced, Ordering::Relaxed);
         }
     }
@@ -413,7 +421,7 @@ impl PageLayer {
     #[inline]
     fn retried(&self, n: u64) {
         if n != 0 {
-            self.stats.cas_retries.add(n);
+            self.hot.stats.cas_retries.add(n);
         }
     }
 
@@ -435,7 +443,7 @@ impl PageLayer {
             {
                 Ok(_) => return st.count(),
                 Err(seen) => {
-                    self.stats.cas_retries.inc();
+                    self.hot.stats.cas_retries.inc();
                     cur = seen;
                 }
             }
@@ -467,13 +475,13 @@ impl PageLayer {
             {
                 Ok(_) => break k,
                 Err(seen) => {
-                    self.stats.cas_retries.inc();
+                    self.hot.stats.cas_retries.inc();
                     cur = seen;
                 }
             }
         };
         if take > 0 {
-            self.free_blocks.fetch_sub(take, Ordering::Relaxed);
+            self.hot.free_blocks.fetch_sub(take, Ordering::Relaxed);
             // Possession makes this CPU the freelist's only consumer:
             // whatever freers push in front, the blocks behind the head
             // stay put. So walk `take` links from the head and swing the
@@ -492,7 +500,7 @@ impl PageLayer {
                 match pdr.afree().compare_exchange(head, rest) {
                     Ok(_) => break,
                     Err(seen) => {
-                        self.stats.cas_retries.inc();
+                        self.hot.stats.cas_retries.inc();
                         head = seen;
                     }
                 }
@@ -531,7 +539,7 @@ impl PageLayer {
                 match pdr.state().compare_exchange_value(cur, 0) {
                     Ok(_) => return, // unlisted; the next free relists it
                     Err(seen) => {
-                        self.stats.cas_retries.inc();
+                        self.hot.stats.cas_retries.inc();
                         cur = seen;
                         continue;
                     }
@@ -546,7 +554,7 @@ impl PageLayer {
                     return;
                 }
                 Err(seen) => {
-                    self.stats.cas_retries.inc();
+                    self.hot.stats.cas_retries.inc();
                     cur = seen;
                 }
             }
@@ -594,7 +602,7 @@ impl PageLayer {
                         return;
                     }
                     Err(seen) => {
-                        self.stats.cas_retries.inc();
+                        self.hot.stats.cas_retries.inc();
                         cur = seen;
                         continue;
                     }
@@ -609,7 +617,7 @@ impl PageLayer {
                     return;
                 }
                 Err(seen) => {
-                    self.stats.cas_retries.inc();
+                    self.hot.stats.cas_retries.inc();
                     cur = seen;
                 }
             }
@@ -659,7 +667,7 @@ impl PageLayer {
             });
         }
         let (page, pd) = vm.alloc_span_on(1, preferred)?;
-        self.stats.page_acquires.inc();
+        self.hot.stats.page_acquires.inc();
         let base = page.as_ptr();
         pd.set_class(self.class);
         pd.set_kind(PdKind::BlockPage);
@@ -725,9 +733,10 @@ impl PageLayer {
         {
             cur = seen;
         }
-        self.free_blocks
+        self.hot
+            .free_blocks
             .fetch_add(self.blocks_per_page, Ordering::Relaxed);
-        self.npages.fetch_add(1, Ordering::Relaxed);
+        self.hot.npages.fetch_add(1, Ordering::Relaxed);
         Ok(pd as *const PageDesc as *mut PageDesc)
     }
 
@@ -736,7 +745,7 @@ impl PageLayer {
     /// retained and passed up"). With the count at `blocks_per_page` no
     /// freer or popper can reach the page, so the resets are private.
     fn release_owned(&self, vm: &VmblkLayer, pd: &PageDesc) {
-        self.stats.page_releases.inc();
+        self.hot.stats.page_releases.inc();
         let mut cur = pd.state().load();
         debug_assert_eq!(PageState::of(cur).count(), self.blocks_per_page);
         debug_assert!(PageState::of(cur).owned());
@@ -747,9 +756,10 @@ impl PageLayer {
         while let Err(seen) = pd.afree().compare_exchange(cur, ptr::null_mut()) {
             cur = seen;
         }
-        self.free_blocks
+        self.hot
+            .free_blocks
             .fetch_sub(self.blocks_per_page, Ordering::Relaxed);
-        self.npages.fetch_sub(1, Ordering::Relaxed);
+        self.hot.npages.fetch_sub(1, Ordering::Relaxed);
         pd.set_kind(PdKind::Unused);
         pd.set_class(0);
         // SAFETY: the span is exactly the fully free page we own.
@@ -779,8 +789,8 @@ impl PageLayer {
     /// (owned pages, free blocks) — verification. Exact at quiescence.
     pub fn usage(&self) -> (usize, usize) {
         (
-            self.npages.load(Ordering::Acquire),
-            self.free_blocks.load(Ordering::Acquire),
+            self.hot.npages.load(Ordering::Acquire),
+            self.hot.free_blocks.load(Ordering::Acquire),
         )
     }
 
@@ -832,6 +842,36 @@ mod tests {
         // SAFETY: blocks came from this layer moments ago.
         unsafe { layer.free_chain(vm, chain) };
         n
+    }
+
+    #[test]
+    fn hot_words_share_no_line_with_the_read_mostly_ones() {
+        use core::mem::{offset_of, size_of};
+        // The 64-byte lines a field of `len` bytes at `offset` touches.
+        let lines = |offset: usize, len: usize| offset / 64..=(offset + len - 1) / 64;
+        let hot = lines(
+            offset_of!(PageLayer, hot),
+            size_of::<CachePadded<HotWords>>(),
+        );
+        for (name, cold) in [
+            (
+                "blocks_per_page",
+                lines(offset_of!(PageLayer, blocks_per_page), size_of::<usize>()),
+            ),
+            (
+                "key",
+                lines(offset_of!(PageLayer, key), size_of::<LinkKey>()),
+            ),
+            (
+                "faults",
+                lines(offset_of!(PageLayer, faults), size_of::<Faults>()),
+            ),
+        ] {
+            assert!(
+                cold.end() < hot.start() || hot.end() < cold.start(),
+                "`{name}` on lines {cold:?} shares one with the hot words on {hot:?}"
+            );
+        }
     }
 
     #[test]

@@ -94,8 +94,9 @@ counters! {
     /// These live *outside* the cache's `UnsafeCell` (in the per-CPU slot)
     /// so that a statistics snapshot taken by another thread never aliases
     /// the owner's exclusive borrow of the cache itself. Every counter is a
-    /// single-writer [`LocalCounter`]: only the owning CPU writes it, on its
-    /// own cache-line-padded slot, so increments are plain load/store pairs
+    /// single-writer [`LocalCounter`]: only the owning CPU writes it, in its
+    /// own (CPU, class) record, aligned so that no other CPU's record shares
+    /// a line with it, so increments are plain load/store pairs
     /// — the "zero hot-path cost" telemetry the snapshot layer is built on.
     ///
     /// The rows stand in the owner's write order — the access counter

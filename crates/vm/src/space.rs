@@ -107,13 +107,41 @@ struct CarveState {
     free: Vec<usize>,
 }
 
+/// Size of a host huge page: the reservation is aligned to at least this,
+/// so the host can back it with huge pages from its first byte.
+const HUGE_PAGE_SIZE: usize = 2 << 20;
+
+/// Asks the host to back `len` bytes from `base` with huge pages.
+///
+/// A kernel maps its own memory with large pages, so carving a vmblk costs
+/// it no page faults; a reservation of 4 KB host pages takes one fault per
+/// page the first time each is touched. The advice is only advice: where
+/// the host refuses or ignores it (transparent huge pages off, or another
+/// OS), the reservation behaves exactly as before, only slower to fault in.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(base: NonNull<u8>, len: usize) {
+    const MADV_HUGEPAGE: i32 = 14;
+    extern "C" {
+        fn madvise(addr: *mut core::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    // SAFETY: `base..base + len` is one live allocation of ours, and
+    // `base` is huge-page (so host-page) aligned. The advice changes how
+    // the host backs the range, never its contents or its permissions.
+    unsafe { madvise(base.as_ptr().cast(), len, MADV_HUGEPAGE) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_base: NonNull<u8>, _len: usize) {}
+
 /// The simulated kernel virtual address space.
 ///
 /// One contiguous reservation, carved into vmblk-sized regions on demand.
 /// The reservation is only *address space* as far as the allocator is
 /// concerned: the physical frames behind it are claimed from the embedded
 /// [`PhysPool`] page by page, exactly as the paper's coalesce layers claim
-/// and return physical memory around retained virtual memory.
+/// and return physical memory around retained virtual memory. It is
+/// aligned to the larger of the vmblk size and 2 MB and advised onto host
+/// huge pages, as a kernel maps its own memory.
 pub struct KernelSpace {
     base: NonNull<u8>,
     layout: Layout,
@@ -139,7 +167,8 @@ unsafe impl Send for KernelSpace {}
 unsafe impl Sync for KernelSpace {}
 
 impl KernelSpace {
-    /// Reserves the space described by `config`.
+    /// Reserves the space described by `config`, on host huge pages where
+    /// the host has them.
     ///
     /// # Panics
     ///
@@ -167,13 +196,14 @@ impl KernelSpace {
             "space must be a whole number of vmblks"
         );
         let nvmblks = config.space_bytes / vmblk_size;
-        let layout = Layout::from_size_align(config.space_bytes, vmblk_size)
+        let layout = Layout::from_size_align(config.space_bytes, vmblk_size.max(HUGE_PAGE_SIZE))
             .expect("space layout must be valid");
         // SAFETY: `layout` has non-zero size (asserted above).
         let raw = unsafe { alloc(layout) };
         let Some(base) = NonNull::new(raw) else {
             handle_alloc_error(layout);
         };
+        advise_huge_pages(base, layout.size());
         let dope = (0..nvmblks).map(|_| AtomicUsize::new(0)).collect();
         KernelSpace {
             base,
@@ -327,6 +357,76 @@ mod tests {
             (b, a)
         };
         assert!(lo.base().as_ptr() as usize + lo.size() <= hi.base().as_ptr() as usize);
+    }
+
+    #[test]
+    fn base_is_huge_page_aligned_for_every_vmblk_size() {
+        for shift in [14, 18, 22, 24] {
+            let s = KernelSpace::new(SpaceConfig::new(16 << 20).vmblk_shift(shift));
+            assert_eq!(
+                s.base_addr() % HUGE_PAGE_SIZE,
+                0,
+                "{} KB vmblks",
+                1 << (shift - 10)
+            );
+        }
+    }
+
+    /// Kilobytes of `AnonHugePages` that `/proc/self/smaps` reports for the
+    /// mappings overlapping `lo..hi`.
+    #[cfg(target_os = "linux")]
+    fn anon_huge_kb(lo: usize, hi: usize) -> usize {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("smaps is readable");
+        let mut overlaps = false;
+        let mut kb = 0;
+        for line in smaps.lines() {
+            // Mapping headers open with `start-end`; field lines with `Name:`.
+            let first = line.split_whitespace().next().unwrap_or("");
+            if let Some((start, end)) = first.split_once('-') {
+                if let (Ok(start), Ok(end)) = (
+                    usize::from_str_radix(start, 16),
+                    usize::from_str_radix(end, 16),
+                ) {
+                    overlaps = start < hi && lo < end;
+                    continue;
+                }
+            }
+            if let Some(value) = line.strip_prefix("AnonHugePages:") {
+                if overlaps {
+                    let value = value.trim().trim_end_matches("kB").trim();
+                    kb += value.parse::<usize>().expect("a kB count");
+                }
+            }
+        }
+        kb
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn touched_space_is_backed_by_huge_pages() {
+        let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .unwrap_or_default();
+        if mode.is_empty() || mode.contains("[never]") {
+            println!(
+                "skipped: transparent huge pages are off on this host ({:?})",
+                mode.trim()
+            );
+            return;
+        }
+        let len = 4 << 20;
+        let s = KernelSpace::new(SpaceConfig::new(len));
+        let base = s.base_addr() as *mut u8;
+        for offset in (0..len).step_by(PAGE_SIZE) {
+            // SAFETY: inside the reservation, which `s` keeps alive and
+            // nothing else uses.
+            unsafe { (base.add(offset) as *mut u64).write_volatile(1) };
+        }
+        let kb = anon_huge_kb(s.base_addr(), s.base_addr() + len);
+        assert!(
+            kb >= 2048,
+            "{kb} kB of huge pages behind a touched {len}-byte space (THP mode {:?})",
+            mode.trim()
+        );
     }
 
     #[test]

@@ -7,9 +7,11 @@
 # prologue included; padding not), and fails when either outgrows BUDGET,
 # when the jump-pointer prefetch is not where it belongs — one in the alloc
 # half, issued by the pop; none in the free half, which only writes the
-# pointer — or when `CpuHandle::alloc_cookie` / `free_cookie` exist as
-# functions at all: they are `#[inline(always)]`, so a symbol means a caller
-# got a `call` instead of the hit path.
+# pointer — when either half multiplies (an x86-64 `imul`: the (CPU, class)
+# record stride is a power of two, so the class index must stay a shift),
+# or when `CpuHandle::alloc_cookie` / `free_cookie` exist as functions at
+# all: they are `#[inline(always)]`, so a symbol means a caller got a `call`
+# instead of the hit path.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,6 +46,11 @@ for probe in probe_alloc_cookie:1 probe_free_cookie:0; do
     # The prefetch is compiled for x86-64 only.
     if [ "$(uname -m)" = x86_64 ] && [ "$prefetches" -ne "$want_prefetches" ]; then
         echo "ERROR: $sym has $prefetches prefetch instructions, expected $want_prefetches" >&2
+        fail=1
+    fi
+    imuls=$(grep -c imul <<<"$body" || true)
+    if [ "$imuls" -ne 0 ]; then
+        echo "ERROR: $sym has $imuls imul instructions: the class-record index must be a shift" >&2
         fail=1
     fi
 done
