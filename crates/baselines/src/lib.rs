@@ -15,8 +15,7 @@
 //! This crate implements (3) and (4) from their sources and defines the
 //! [`KernelAllocator`] trait that lets benches and tests drive all four
 //! through one interface ([`adapters`] wraps the `kmem` arena). [`spin`]
-//! holds the per-layer baselines: the spin-locked global pool and page
-//! layer the lock-free ones replaced.
+//! holds the spin-locked global pool the lock-free one replaced.
 
 pub mod adapters;
 pub mod mk;

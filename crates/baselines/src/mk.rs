@@ -74,7 +74,7 @@ pub fn bucket_size(b: usize) -> usize {
 
 /// Per-page state, the `kmemsizes[]` array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
+enum KmemSize {
     /// Not yet carved from the space.
     NotOwned,
     /// Owned and free (from a freed large span, or never used).
@@ -93,7 +93,7 @@ struct MkInner {
     /// Per-bucket free block counts (`kb_total - kb_calls` in BSD).
     nfree: [usize; NBUCKETS],
     /// Page states, indexed by page number within the space.
-    kmemsizes: Vec<PageState>,
+    kmemsizes: Vec<KmemSize>,
     /// Pages owned so far: `[0, owned)` within the space have been carved
     /// (vmblks are taken in order and never returned, so ownership is a
     /// prefix of the space).
@@ -140,7 +140,7 @@ impl MkAllocator {
             inner: SpinLock::new(MkInner {
                 freelist: [ptr::null_mut(); NBUCKETS],
                 nfree: [0; NBUCKETS],
-                kmemsizes: vec![PageState::NotOwned; total_pages],
+                kmemsizes: vec![KmemSize::NotOwned; total_pages],
                 owned: 0,
                 scan_hint: 0,
             }),
@@ -200,7 +200,7 @@ impl MkAllocator {
         let page = self.page_of(addr);
         let mut inner = self.inner.lock();
         match inner.kmemsizes[page] {
-            PageState::Small { bucket } => {
+            KmemSize::Small { bucket } => {
                 let bucket = usize::from(bucket);
                 probe::emit(ProbeEvent::LineWrite {
                     line: probe::line_of(ptr.as_ptr()),
@@ -215,11 +215,11 @@ impl MkAllocator {
                 inner.nfree[bucket] += 1;
                 probe::emit(ProbeEvent::Work { cycles: 20 });
             }
-            PageState::LargeHead { npages } => {
+            KmemSize::LargeHead { npages } => {
                 let npages = npages as usize;
                 debug_assert_eq!(addr & (PAGE_SIZE - 1), 0);
                 for p in page..page + npages {
-                    inner.kmemsizes[p] = PageState::Free;
+                    inner.kmemsizes[p] = KmemSize::Free;
                 }
                 if page < inner.scan_hint {
                     inner.scan_hint = page;
@@ -257,7 +257,7 @@ impl MkAllocator {
         let mut start = 0usize;
         let mut i = inner.scan_hint;
         while i < inner.owned {
-            if inner.kmemsizes[i] == PageState::Free {
+            if inner.kmemsizes[i] == KmemSize::Free {
                 if run == 0 {
                     start = i;
                 }
@@ -282,7 +282,7 @@ impl MkAllocator {
             debug_assert_eq!(first, inner.owned, "vmblks must be carved in order");
             let pages = region.size() >> PAGE_SHIFT;
             for p in first..first + pages {
-                inner.kmemsizes[p] = PageState::Free;
+                inner.kmemsizes[p] = KmemSize::Free;
             }
             if run == 0 {
                 start = first;
@@ -296,7 +296,7 @@ impl MkAllocator {
     fn carve_page(&self, inner: &mut MkInner, bucket: usize) -> Option<()> {
         let page = self.find_free_run(inner, 1)?;
         self.space.phys().claim(1).ok()?;
-        inner.kmemsizes[page] = PageState::Small {
+        inner.kmemsizes[page] = KmemSize::Small {
             bucket: bucket as u8,
         };
         self.stats.pages_dedicated.inc();
@@ -320,11 +320,11 @@ impl MkAllocator {
         let mut inner = self.inner.lock();
         let start = self.find_free_run(&mut inner, npages)?;
         self.space.phys().claim(npages).ok()?;
-        inner.kmemsizes[start] = PageState::LargeHead {
+        inner.kmemsizes[start] = KmemSize::LargeHead {
             npages: npages as u32,
         };
         for p in start + 1..start + npages {
-            inner.kmemsizes[p] = PageState::LargeCont;
+            inner.kmemsizes[p] = KmemSize::LargeCont;
         }
         probe::emit(ProbeEvent::Work { cycles: 60 });
         // SAFETY: page addresses are interior to the reservation.

@@ -1,41 +1,30 @@
-//! Page-layer contention: lock-free radix lists vs the spinlocked layer.
+//! Page-layer contention: the coalesce-to-page layer, one lock per class.
 //!
-//! The same workload — real threads (or virtual CPUs) cycling short block
-//! chains through one shared coalesce-to-page layer, the refill/free
-//! traffic the global layer generates under load — runs twice: once
-//! through the lock-free [`PageLayer`] (tagged radix stacks, per-page
-//! atomic free counts) and once through an op-for-op reproduction of the
-//! spinlocked layer it replaced (one lock around every radix-list move,
-//! page-freelist splice, and counter). Both take and return whole pages
-//! through the same vmblk boundary-tag lock.
+//! Real threads (or virtual CPUs) cycle short block chains through one
+//! shared [`PageLayer`] — the refill/free traffic the global layer
+//! generates under load — over the vmblk layer's boundary-tag lock, which
+//! takes and returns whole pages.
 //!
 //! Three measurements are taken and all land in `BENCH_page.json`:
 //!
 //! * **Wall clock** on the host, ns per alloc+free pair per OS-thread
-//!   count. Informational: on a small host (this repo's CI box has one
-//!   core) threads serialize anyway, so wall clock shows the lock-free
-//!   layer's higher per-op instruction count — the price it pays — and
-//!   none of the independence it buys.
-//! * **Simulated SMP**, the repo's standard methodology for pricing
-//!   scaling the host cannot exhibit (Figure 7, `kmem-sim`): the same
-//!   pools run on N virtual CPUs of the discrete-event simulator, every
-//!   probe-emitted shared-line access priced through the MESI model and
-//!   every lock hold serializing its waiters. The spinlocked baseline
-//!   predates the probe layer, so it emits its under-lock shared-line
-//!   traffic explicitly — the same modelling the `analysis`
-//!   module applies to the paper's measured allocator.
-//! * **Per-class fill and drain**, ns per block on one thread: the
-//!   lock-free layer of each class from 16 B to 2 KB fills 256 fresh
-//!   pages in `target`-block refills, then takes the blocks back in
-//!   `target`-block chains shuffled from the report's seed — one class
-//!   pass of the Figure-9 sweep, where the cost of a refill or a drain
-//!   must not depend on how many blocks a page holds.
+//!   count. Multi-thread points are scaling evidence only as far as the
+//!   host has cores (`host_cpus`, `path_length_only` in the envelope).
+//! * **Per-class fill and drain**, ns per block on one thread: the layer
+//!   of each class from 16 B to 2 KB fills 256 fresh pages in
+//!   `target`-block refills, then takes the blocks back in `target`-block
+//!   chains shuffled from the report's seed — one class pass of the
+//!   Figure-9 sweep, where the cost of a refill or a drain must not depend
+//!   on how many blocks a page holds.
+//! * **Simulated SMP**, the repo's methodology for pricing scaling the
+//!   host cannot exhibit (Figure 7, `kmem-sim`): the same ring runs on N
+//!   virtual CPUs of the discrete-event simulator, every probe-emitted
+//!   shared-line access priced through the MESI model and every lock hold
+//!   serializing its waiters.
 //!
-//! The asserted shape pin is on the simulated 8-CPU point: the lock-free
-//! layer must beat the spinlocked baseline there, and the baseline must
-//! be visibly lock-bound. (At 1 simulated CPU the spinlock *wins* — no
-//! contention, fewer RMWs — which the model reproduces honestly, matching
-//! the wall-clock picture.)
+//! The asserted shape pin is on the per-class drain: no class may drain at
+//! more than [`DRAIN_SPREAD`] times the 16-B class's cost per block, so a
+//! drain that walks pages it does not free into fails here.
 //!
 //! Run: `cargo bench --features bench-ext --bench page_contention`.
 
@@ -47,10 +36,9 @@ use kmem::chain::Chain;
 use kmem::pagelayer::PageLayer;
 use kmem::vmblklayer::VmblkLayer;
 use kmem::ClassConfig;
-use kmem_baselines::spin::SpinPage;
 use kmem_sim::{SimConfig, Simulator};
 use kmem_testkit::Rng;
-use kmem_vm::{KernelSpace, SpaceConfig, VmError, PAGE_SIZE};
+use kmem_vm::{KernelSpace, SpaceConfig, PAGE_SIZE};
 
 const BLOCK_SIZE: usize = 512;
 const CLASS: usize = 3;
@@ -61,50 +49,58 @@ const WANT: usize = 3;
 const RING: usize = 4;
 const OPS_PER_THREAD: usize = 50_000;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Timed repetitions per (layer, thread count); the minimum is reported.
+/// Timed repetitions per thread count; the minimum is reported.
 const REPS: usize = 7;
 
 /// Orders the per-class drain; recorded as the report's seed.
 const SEED: u64 = 0x5EED_0C1A_55E5;
 /// Pages each class fills and drains in the per-class probe.
 const CLASS_PAGES: usize = 256;
+/// The most any class's drain may cost per block, in multiples of the
+/// 16-B class's.
+const DRAIN_SPREAD: f64 = 4.0;
 
 /// Simulated-SMP sweep points.
 const SIM_CPUS: [usize; 4] = [1, 2, 4, 8];
 const SIM_PAIRS_PER_CPU: u64 = 2_000;
 /// Probe-free out-of-lock driver overhead per pair in cycles (the `calib`
-/// convention); identical for both layers, so only priced events separate
-/// them.
+/// convention).
 const SIM_BASE: u64 = 60;
 
-fn space() -> Arc<KernelSpace> {
-    Arc::new(KernelSpace::new(
-        SpaceConfig::new(32 << 20).vmblk_shift(16).phys_pages(2048),
-    ))
-}
-
-/// The two page layers under one interface.
-trait PagePool: Sync {
-    fn alloc(&self, want: usize) -> Result<Chain, VmError>;
-    /// # Safety
-    ///
-    /// `chain` holds blocks allocated from this pool, each freed once.
-    unsafe fn free(&self, chain: Chain);
-}
-
-struct LockFree {
+/// A page layer over its own vmblk layer.
+struct Pool {
     vm: VmblkLayer,
     layer: PageLayer,
 }
 
-impl LockFree {
-    fn new() -> Self {
-        LockFree {
-            // The production stack: the lock-free layer over the vmblk
-            // boundary-tag lock.
-            vm: VmblkLayer::new(space(), true),
-            layer: PageLayer::new(CLASS, BLOCK_SIZE, true),
+impl Pool {
+    fn new(space: SpaceConfig, block_size: usize) -> Self {
+        Pool {
+            vm: VmblkLayer::new(Arc::new(KernelSpace::new(space)), true),
+            layer: PageLayer::new(CLASS, block_size, true),
         }
+    }
+
+    /// The ring's pool: 512-B blocks, room for every thread's ring.
+    fn ring() -> Self {
+        Pool::new(
+            SpaceConfig::new(32 << 20).vmblk_shift(16).phys_pages(2048),
+            BLOCK_SIZE,
+        )
+    }
+
+    fn alloc(&self, want: usize) -> Chain {
+        self.layer
+            .alloc_chain(&self.vm, want)
+            .expect("bench sized for no pressure")
+    }
+
+    /// # Safety
+    ///
+    /// `chain` holds blocks allocated from this pool, each freed once.
+    unsafe fn free(&self, chain: Chain) {
+        // SAFETY: forwarded caller contract.
+        unsafe { self.layer.free_chain(&self.vm, chain) };
     }
 
     fn assert_drained(&self) {
@@ -113,37 +109,10 @@ impl LockFree {
     }
 }
 
-impl PagePool for LockFree {
-    fn alloc(&self, want: usize) -> Result<Chain, VmError> {
-        self.layer.alloc_chain(&self.vm, want)
-    }
-
-    unsafe fn free(&self, chain: Chain) {
-        // SAFETY: forwarded caller contract.
-        unsafe { self.layer.free_chain(&self.vm, chain) };
-    }
-}
-
-/// The pre-rework layer ([`SpinPage`]): one spinlock around every
-/// radix-list move, over the same locked vmblk path.
-fn spin_page() -> SpinPage {
-    SpinPage::new(space(), CLASS, BLOCK_SIZE)
-}
-
-impl PagePool for SpinPage {
-    fn alloc(&self, want: usize) -> Result<Chain, VmError> {
-        SpinPage::alloc(self, want)
-    }
-
-    unsafe fn free(&self, chain: Chain) {
-        // SAFETY: forwarded caller contract.
-        unsafe { SpinPage::free(self, chain) };
-    }
-}
-
 /// Times `threads` × [`OPS_PER_THREAD`] free-oldest + alloc-replacement
-/// pairs against `pool`; returns ns per pair.
-fn run_pairs(pool: &dyn PagePool, threads: usize) -> f64 {
+/// pairs against a fresh pool; returns ns per pair.
+fn run_pairs(threads: usize) -> f64 {
+    let pool = Pool::ring();
     let barrier = Barrier::new(threads);
     // Phase wall = max(end) - min(start), stamped inside the workers:
     // the worker rolling straight through the barrier release stamps the
@@ -157,16 +126,11 @@ fn run_pairs(pool: &dyn PagePool, threads: usize) -> f64 {
                 s.spawn(|| {
                     // Standing ring: keeps pages partial so the radix lists,
                     // not just carve/merge, carry the traffic.
-                    let mut ring: Vec<Chain> = (0..RING)
-                        .map(|_| pool.alloc(WANT).expect("bench sized for no pressure"))
-                        .collect();
+                    let mut ring: Vec<Chain> = (0..RING).map(|_| pool.alloc(WANT)).collect();
                     barrier.wait();
                     let start = Instant::now();
                     for i in 0..OPS_PER_THREAD {
-                        let old = std::mem::replace(
-                            &mut ring[i % RING],
-                            pool.alloc(WANT).expect("bench sized for no pressure"),
-                        );
+                        let old = std::mem::replace(&mut ring[i % RING], pool.alloc(WANT));
                         // SAFETY: `old` was allocated from `pool` above.
                         unsafe { pool.free(old) };
                     }
@@ -181,42 +145,26 @@ fn run_pairs(pool: &dyn PagePool, threads: usize) -> f64 {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    pool.assert_drained();
     let start = spans.iter().map(|&(s, _)| s).min().unwrap();
     let end = spans.iter().map(|&(_, e)| e).max().unwrap();
     (end - start).as_nanos() as f64 / (threads * OPS_PER_THREAD) as f64
 }
 
-fn bench_spin(threads: usize) -> f64 {
-    run_pairs(&spin_page(), threads)
-}
-
-fn bench_lockfree(threads: usize) -> f64 {
-    let pool = LockFree::new();
-    let ns = run_pairs(&pool, threads);
-    pool.assert_drained();
-    ns
-}
-
 /// Runs the ring workload on `ncpus` virtual CPUs of the DES and returns
 /// (pairs per simulated second, fraction of CPU-time spent lock-waiting).
-fn sim_point(pool: &dyn PagePool, ncpus: usize) -> (f64, f64) {
+fn sim_point(ncpus: usize) -> (f64, f64) {
+    let pool = Pool::ring();
     // Rings are built (and torn down) outside the recording window, as
     // the wall-clock runs build theirs before the barrier.
     let mut rings: Vec<Vec<Chain>> = (0..ncpus)
-        .map(|_| {
-            (0..RING)
-                .map(|_| pool.alloc(WANT).expect("bench sized for no pressure"))
-                .collect()
-        })
+        .map(|_| (0..RING).map(|_| pool.alloc(WANT)).collect())
         .collect();
     let mut next = vec![0usize; ncpus];
     let result = Simulator::new(SimConfig::new(ncpus, SIM_PAIRS_PER_CPU)).run(|vcpu| {
         let i = next[vcpu];
         next[vcpu] = (i + 1) % RING;
-        let old = std::mem::replace(
-            &mut rings[vcpu][i],
-            pool.alloc(WANT).expect("bench sized for no pressure"),
-        );
+        let old = std::mem::replace(&mut rings[vcpu][i], pool.alloc(WANT));
         // SAFETY: `old` was allocated from `pool` above.
         unsafe { pool.free(old) };
         SIM_BASE
@@ -227,6 +175,7 @@ fn sim_point(pool: &dyn PagePool, ncpus: usize) -> (f64, f64) {
             unsafe { pool.free(c) };
         }
     }
+    pool.assert_drained();
     let wait_frac =
         result.lock_wait_cycles as f64 / (result.elapsed_cycles.max(1) as f64 * ncpus as f64);
     (result.ops_per_sec(), wait_frac)
@@ -240,11 +189,7 @@ fn class_fill_drain(block_size: usize) -> (f64, f64) {
     let target = ClassConfig::with_heuristics(block_size).target;
     let blocks = CLASS_PAGES * (PAGE_SIZE / block_size);
     // One default-sized (4 MB) vmblk holds all the pages, as in an arena.
-    let space = Arc::new(KernelSpace::new(SpaceConfig::new(32 << 20)));
-    let pool = LockFree {
-        vm: VmblkLayer::new(space, true),
-        layer: PageLayer::new(CLASS, block_size, true),
-    };
+    let pool = Pool::new(SpaceConfig::new(32 << 20), block_size);
     let mut rng = Rng::new(SEED ^ block_size as u64);
     let mut held: Vec<Chain> = Vec::with_capacity(blocks / target + 1);
     let mut ptrs: Vec<*mut u8> = Vec::with_capacity(blocks + target);
@@ -253,7 +198,7 @@ fn class_fill_drain(block_size: usize) -> (f64, f64) {
         let mut got = 0;
         let start = Instant::now();
         while got < blocks {
-            let chain = pool.alloc(target).expect("bench sized for no pressure");
+            let chain = pool.alloc(target);
             got += chain.len();
             held.push(chain);
         }
@@ -290,26 +235,17 @@ fn class_fill_drain(block_size: usize) -> (f64, f64) {
 }
 
 fn main() {
-    // Wall clock: informational on a small host (see module docs).
+    // Wall clock: scaling evidence only as far as the host has cores.
     let mut wall = Vec::new();
     for threads in THREAD_COUNTS {
-        // Warm-up pass absorbs thread-spawn and first-touch costs.
-        let _ = bench_spin(threads);
-        let _ = bench_lockfree(threads);
-        // Interleaved repetitions, min of each side: scheduler spikes are
-        // filtered out of both layers alike.
-        let mut spin = f64::INFINITY;
-        let mut lockfree = f64::INFINITY;
-        for _ in 0..REPS {
-            spin = spin.min(bench_spin(threads));
-            lockfree = lockfree.min(bench_lockfree(threads));
-        }
-        println!(
-            "page_contention/wall {threads:>2} threads   spinlock {spin:>8.1} ns/pair   \
-             lock-free {lockfree:>8.1} ns/pair   ({:.2}x)",
-            spin / lockfree
-        );
-        wall.push((threads, spin, lockfree));
+        // Warm-up pass absorbs thread-spawn and first-touch costs; the
+        // minimum of the timed passes filters out scheduler spikes.
+        let _ = run_pairs(threads);
+        let ns = (0..REPS)
+            .map(|_| run_pairs(threads))
+            .fold(f64::INFINITY, f64::min);
+        println!("page_contention/wall {threads:>2} threads   {ns:>8.1} ns/pair");
+        wall.push((threads, ns));
     }
 
     // Per class: what a block costs to fill and to drain, 16 B to 2 KB.
@@ -323,20 +259,15 @@ fn main() {
         per_class.push((1usize << shift, fill, drain));
     }
 
-    // Simulated SMP: the priced comparison the assertion pins.
+    // Simulated SMP.
     let mut sim = Vec::new();
     for ncpus in SIM_CPUS {
-        let (spin_rate, spin_wait) = sim_point(&spin_page(), ncpus);
-        let pool = LockFree::new();
-        let (lf_rate, _) = sim_point(&pool, ncpus);
-        pool.assert_drained();
+        let (rate, wait) = sim_point(ncpus);
         println!(
-            "page_contention/sim  {ncpus:>2} cpus      spinlock {spin_rate:>9.0} pairs/s \
-             (lock-wait {:>4.1}%)   lock-free {lf_rate:>9.0} pairs/s   ({:.2}x)",
-            spin_wait * 100.0,
-            lf_rate / spin_rate
+            "page_contention/sim  {ncpus:>2} cpus      {rate:>9.0} pairs/s   (lock-wait {:>4.1}%)",
+            wait * 100.0
         );
-        sim.push((ncpus, spin_rate, lf_rate, spin_wait));
+        sim.push((ncpus, rate, wait));
     }
 
     let mut report = kmem_bench::BenchReport::new("page_contention", SEED).config(|c| {
@@ -345,13 +276,9 @@ fn main() {
             .usize("ops_per_thread", OPS_PER_THREAD)
             .usize("class_pages", CLASS_PAGES);
     });
-    report
-        .body()
-        .arr("wall", &wall, |&(threads, spin, lockfree), row| {
-            row.usize("threads", threads)
-                .f64("spinlock_ns", spin, 1)
-                .f64("lockfree_ns", lockfree, 1);
-        });
+    report.body().arr("wall", &wall, |&(threads, ns), row| {
+        row.usize("threads", threads).f64("ns_per_pair", ns, 1);
+    });
     report
         .body()
         .arr("per_class", &per_class, |&(size, fill, drain), row| {
@@ -362,35 +289,23 @@ fn main() {
     report.body().obj("sim", |s| {
         s.u64("pairs_per_cpu", SIM_PAIRS_PER_CPU)
             .u64("base_cycles", SIM_BASE)
-            .arr(
-                "results",
-                &sim,
-                |&(ncpus, spin_rate, lf_rate, spin_wait), row| {
-                    row.usize("cpus", ncpus)
-                        .f64("spinlock_pairs_per_sec", spin_rate, 0)
-                        .f64("lockfree_pairs_per_sec", lf_rate, 0)
-                        .f64("spinlock_lock_wait_frac", spin_wait, 3);
-                },
-            );
+            .arr("results", &sim, |&(ncpus, rate, wait), row| {
+                row.usize("cpus", ncpus).f64("pairs_per_sec", rate, 0).f64(
+                    "lock_wait_frac",
+                    wait,
+                    3,
+                );
+            });
     });
     report.write_artifact("BENCH_page.json");
 
-    // Shape pins on the simulated sweep: at 8+ CPUs the lock-free layer
-    // must beat the spinlocked baseline, and the baseline must be
-    // visibly lock-bound (that being the mechanism of its defeat).
-    for &(ncpus, spin_rate, lf_rate, spin_wait) in &sim {
-        if ncpus >= 8 {
-            assert!(
-                lf_rate > spin_rate,
-                "lock-free page layer slower than spinlock at {ncpus} simulated CPUs: \
-                 {lf_rate:.0} vs {spin_rate:.0} pairs/s"
-            );
-            assert!(
-                spin_wait > 0.2,
-                "spinlocked baseline at {ncpus} CPUs waits only {:.1}% — \
-                 contention model regressed",
-                spin_wait * 100.0
-            );
-        }
+    // Shape pin: a drain costs O(blocks moved) in every class.
+    let floor = per_class[0].2;
+    for &(size, _, drain) in &per_class {
+        assert!(
+            drain <= DRAIN_SPREAD * floor,
+            "{size}-B class drains at {drain:.1} ns/block, over {DRAIN_SPREAD}x \
+             the 16-B class's {floor:.1}"
+        );
     }
 }

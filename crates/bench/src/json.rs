@@ -5,7 +5,8 @@
 //! same envelope — `schema` version, `bench` name, RNG `seed` (zero
 //! for benches with no randomized workload), `host_cpus` (the CPUs the
 //! recording host offered: with 1, no multi-thread wall-clock number in
-//! the file is scaling evidence), and a `config` object holding the
+//! the file is scaling evidence, and the envelope says so with
+//! `"path_length_only": true`), and a `config` object holding the
 //! knobs the numbers depend on — so a reader can tell at a glance which
 //! code vintage, host and parameters produced a file.
 
@@ -24,14 +25,24 @@ pub struct BenchReport {
 
 impl BenchReport {
     /// Starts a report: `schema`, `bench`, `seed` and `host_cpus` land
-    /// first. Pass `seed = 0` for benches whose workload has no RNG.
+    /// first, then `path_length_only` on a one-CPU host. Pass `seed = 0`
+    /// for benches whose workload has no RNG.
     pub fn new(bench: &str, seed: u64) -> Self {
         let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        BenchReport::on_host(bench, seed, host_cpus)
+    }
+
+    fn on_host(bench: &str, seed: u64, host_cpus: usize) -> Self {
         let mut obj = JsonObj::new();
         obj.u64("schema", SCHEMA_VERSION as u64)
             .str("bench", bench)
             .u64("seed", seed)
             .usize("host_cpus", host_cpus);
+        if host_cpus == 1 {
+            // One core: threads time-share it, so multi-thread numbers say
+            // what a path costs, not how it scales.
+            obj.bool("path_length_only", true);
+        }
         BenchReport { obj }
     }
 
@@ -66,16 +77,33 @@ mod tests {
 
     #[test]
     fn envelope_leads_every_report() {
-        let report = BenchReport::new("demo", 42).config(|c| {
+        let report = BenchReport::on_host("demo", 42, 2).config(|c| {
             c.usize("threads", 8).f64("budget", 1.5, 1);
         });
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(
             report.render(),
             format!(
                 "{{\"schema\":{SCHEMA_VERSION},\"bench\":\"demo\",\"seed\":42,\
-                 \"host_cpus\":{cpus},\"config\":{{\"threads\":8,\"budget\":1.5}}}}"
+                 \"host_cpus\":2,\"config\":{{\"threads\":8,\"budget\":1.5}}}}"
             )
+        );
+    }
+
+    #[test]
+    fn one_cpu_hosts_mark_the_report_path_length_only() {
+        let one = BenchReport::on_host("demo", 0, 1).render();
+        assert!(one.starts_with(&format!(
+            "{{\"schema\":{SCHEMA_VERSION},\"bench\":\"demo\",\"seed\":0,\
+             \"host_cpus\":1,\"path_length_only\":true"
+        )));
+        for cpus in [2, 8] {
+            let many = BenchReport::on_host("demo", 0, cpus).render();
+            assert!(!many.contains("path_length_only"), "{many}");
+        }
+        let here = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            BenchReport::new("demo", 0).render(),
+            BenchReport::on_host("demo", 0, here).render()
         );
     }
 

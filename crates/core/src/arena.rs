@@ -1120,8 +1120,8 @@ impl CpuHandle {
                 }
             }
         }
-        // The page layer consults `faults::PAGE_GET` on both its pop path
-        // and its vmblk slow path.
+        // The page layer consults `faults::PAGE_GET` on both its listed-page
+        // path and its fresh-page path.
         inner.pages[class]
             .alloc_chain_on(&inner.vm, target, self.node)
             .ok()

@@ -19,25 +19,20 @@
 //! head when the span is freed whole. An interior page's `home` is
 //! whatever an earlier use of that page left there.
 //!
-//! A block page's live state is lock-free. Its free count and listing
-//! flags (`state`), its block freelist (`afree`) and its bucket linkage
-//! (`anext`) are tagged or plain atomics driven by the class's page layer
-//! under the possession protocol described in `pagelayer`; no lock guards
-//! them, and the page layer never looks inside [`PdInner`].
-//!
-//! [`PdInner`] holds the boundary-tag state of spans and is only touched
-//! under the vmblk layer's lock. Its `freelist`/`free_count` fields serve
-//! the spinlocked page-layer baseline the benches compare against.
+//! [`PdInner`] holds the state the owning layer keeps under its lock. While
+//! a page is split into blocks, its class's page layer owns it: the page's
+//! block freelist, free count and radix-bucket linkage are touched only
+//! under that class's lock. Otherwise the vmblk layer owns it, and its
+//! span length and span-freelist linkage are touched only under the
+//! boundary-tag lock. A page changes hands with both locks held (a release
+//! runs the vmblk layer's free under the class lock), or while no other
+//! CPU can reach it (a fresh page is carved before it is listed).
 
 use core::cell::UnsafeCell;
 use core::ptr;
-use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
+use core::sync::atomic::{AtomicU8, Ordering};
 
-use kmem_smp::probe::{self, ProbeEvent};
-use kmem_smp::{NodeId, TaggedAtomic};
-use kmem_vm::PAGE_SIZE;
-
-use crate::block::MIN_BLOCK;
+use kmem_smp::NodeId;
 
 /// Role of a page, stored in its descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,18 +106,6 @@ pub struct PageDesc {
     /// heads only (see the module docs). Fits the descriptor's existing
     /// padding, so `PD_STRIDE` is unchanged.
     home: AtomicU8,
-    /// Block pages, lock-free layer state: a packed
-    /// `(free count | bucket | LISTED | OWNED)` word with a generation
-    /// tag (see `pagelayer`'s `PageState`). Written with
-    /// [`TaggedAtomic::fetch_count_add`] by freeing CPUs and CAS'd by
-    /// possessors; the tag serializes the two against each other.
-    state: TaggedAtomic,
-    /// Block pages: tagged head of the page's lock-free block freelist
-    /// (links through each block's first word, as `global.rs` does).
-    afree: TaggedAtomic,
-    /// Lock-free intrusive linkage for [`PdStack`] (the radix buckets).
-    /// Only the stack holding the page may follow it.
-    anext: AtomicPtr<PageDesc>,
     inner: UnsafeCell<PdInner>,
 }
 
@@ -151,24 +134,9 @@ impl PageDesc {
                 kind: AtomicU8::new(PdKind::Unused as u8),
                 class: AtomicU8::new(0),
                 home: AtomicU8::new(0),
-                state: TaggedAtomic::null(),
-                afree: TaggedAtomic::null(),
-                anext: AtomicPtr::new(ptr::null_mut()),
                 inner: UnsafeCell::new(PdInner::new()),
             });
         }
-    }
-
-    /// The page's packed lock-free state word (block pages only).
-    #[inline]
-    pub fn state(&self) -> &TaggedAtomic {
-        &self.state
-    }
-
-    /// The page's lock-free block-freelist head (block pages only).
-    #[inline]
-    pub fn afree(&self) -> &TaggedAtomic {
-        &self.afree
     }
 
     /// Reads the page's role (lock-free; see module docs).
@@ -234,7 +202,6 @@ impl PageDesc {
 /// lock, mirrored by the `unsafe fn` contracts.
 pub struct PdList {
     head: *mut PageDesc,
-    len: usize,
 }
 
 // SAFETY: a `PdList` owns membership of the descriptors it links; the
@@ -246,30 +213,19 @@ impl PdList {
     pub const fn new() -> Self {
         PdList {
             head: ptr::null_mut(),
-            len: 0,
         }
-    }
-
-    /// Number of descriptors in the list.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// Returns whether the list is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.head.is_null()
     }
 
     /// Head of the list, if any.
     #[inline]
     pub fn front(&self) -> Option<*mut PageDesc> {
-        if self.head.is_null() {
-            None
-        } else {
-            Some(self.head)
-        }
+        (!self.head.is_null()).then_some(self.head)
     }
 
     /// Pushes `pd` at the front.
@@ -290,7 +246,6 @@ impl PdList {
             unsafe { (*self.head).inner() }.prev = pd;
         }
         self.head = pd;
-        self.len += 1;
     }
 
     /// Removes `pd` from the list.
@@ -316,7 +271,6 @@ impl PdList {
             // SAFETY: members of the list are valid; lock held.
             unsafe { (*next).inner() }.prev = prev;
         }
-        self.len -= 1;
     }
 
     /// Pops the front descriptor.
@@ -364,264 +318,6 @@ impl Iterator for PdListIter {
         // owning lock is held.
         self.next = unsafe { (*pd).inner() }.next;
         Some(pd)
-    }
-}
-
-/// A lock-free Treiber stack of page descriptors, linked through
-/// [`PageDesc::anext`] under a generation-tagged head — the page-descriptor
-/// analogue of the global layer's chain stack.
-///
-/// Used for the per-class radix buckets (lazy positions: a listed page's
-/// true free count may exceed its bucket; poppers repair by relisting). A
-/// descriptor is in **at most one** stack at a time; a successful
-/// [`pop`](PdStack::pop) transfers possession of the descriptor to the
-/// caller.
-pub struct PdStack {
-    head: TaggedAtomic,
-}
-
-// SAFETY: all mutation is through tagged CAS; possession of popped
-// descriptors transfers with the successful exchange.
-unsafe impl Send for PdStack {}
-unsafe impl Sync for PdStack {}
-
-impl PdStack {
-    /// Creates an empty stack.
-    pub const fn new() -> Self {
-        PdStack {
-            head: TaggedAtomic::null(),
-        }
-    }
-
-    /// Whether the stack looked empty at the load — a hint only; racing
-    /// pushes and pops may change it immediately.
-    #[inline]
-    pub fn is_empty_hint(&self) -> bool {
-        self.head.load().is_null()
-    }
-
-    /// Pushes `pd`, returning the number of failed CAS attempts (for the
-    /// caller's `cas_retries` counter).
-    ///
-    /// # Safety
-    ///
-    /// The caller possesses `pd` (it is in no stack) and `pd` stays valid
-    /// for the stack's lifetime (vmblk descriptor storage is type-stable).
-    pub unsafe fn push(&self, pd: *mut PageDesc) -> u64 {
-        let mut retries = 0;
-        let mut cur = self.head.load();
-        loop {
-            // SAFETY: we possess `pd` until the CAS publishes it.
-            unsafe {
-                (*pd)
-                    .anext
-                    .store(cur.ptr() as *mut PageDesc, Ordering::Release)
-            };
-            match self.head.compare_exchange(cur, pd as *mut u8) {
-                Ok(_) => return retries,
-                Err(seen) => {
-                    retries += 1;
-                    cur = seen;
-                }
-            }
-        }
-    }
-
-    /// Iterates raw descriptor pointers without popping (verification).
-    ///
-    /// # Safety
-    ///
-    /// The stack must be quiescent for the whole iteration: no concurrent
-    /// push or pop may run, or the `anext` chain may be rewired mid-walk.
-    pub unsafe fn iter(&self) -> PdStackIter {
-        PdStackIter {
-            next: self.head.load().ptr() as *mut PageDesc,
-        }
-    }
-
-    /// Pops the top descriptor, transferring possession to the caller.
-    /// Also returns the number of failed CAS attempts.
-    pub fn pop(&self) -> (Option<*mut PageDesc>, u64) {
-        let mut retries = 0;
-        let mut cur = self.head.load();
-        loop {
-            if cur.is_null() {
-                return (None, retries);
-            }
-            let pd = cur.ptr() as *mut PageDesc;
-            // SAFETY: descriptor storage is type-stable, so this load
-            // cannot fault even if `pd` was popped by a racing CPU; a
-            // stale next is discarded when the tag CAS fails.
-            let next = unsafe { (*pd).anext.load(Ordering::Acquire) };
-            match self.head.compare_exchange(cur, next as *mut u8) {
-                Ok(_) => return (Some(pd), retries),
-                Err(seen) => {
-                    retries += 1;
-                    cur = seen;
-                }
-            }
-        }
-    }
-}
-
-impl Default for PdStack {
-    fn default() -> Self {
-        PdStack::new()
-    }
-}
-
-/// Iterator over a quiescent [`PdStack`]; see [`PdStack::iter`].
-pub struct PdStackIter {
-    next: *mut PageDesc,
-}
-
-impl Iterator for PdStackIter {
-    type Item = *mut PageDesc;
-
-    fn next(&mut self) -> Option<*mut PageDesc> {
-        if self.next.is_null() {
-            return None;
-        }
-        let pd = self.next;
-        // SAFETY: the iteration contract guarantees quiescence, so the
-        // chain through `anext` is stable and every member valid.
-        self.next = unsafe { (*pd).anext.load(Ordering::Acquire) };
-        Some(pd)
-    }
-}
-
-/// Summary words covering one bucket per possible free count,
-/// `0..=PAGE_SIZE / MIN_BLOCK`.
-const SUMMARY_WORDS: usize = (PAGE_SIZE / MIN_BLOCK + 1).div_ceil(64);
-
-/// The radix buckets of one page layer: a [`PdStack`] per free count, and
-/// a summary bitmap of the buckets that may hold a page, so that picking
-/// a page costs a few word scans however many buckets the class has.
-///
-/// A pusher pushes the page and then sets bit `b` unless it reads it set.
-/// A popper that finds bucket `b` empty clears the bit, looks at the bucket
-/// again, and restores the bit if a page has arrived. Each side stores to
-/// one word and then loads the other — the store-buffering shape — so all
-/// four accesses (push, bit load; bit clear, second look) are `SeqCst`:
-/// in their single total order either the second look follows the push
-/// and finds the page, or the pusher's bit load follows the clear and
-/// finds the bit clear. Hence, whenever no push or pop is in flight, a
-/// non-empty bucket has its bit set. A set bit over an empty bucket costs
-/// the next scan one empty pop. A scan that runs ahead of a pusher's set
-/// sends its refill to a fresh page; the page it missed is listed all the
-/// same and its bit follows.
-///
-/// The words share one cache line, so a scan is one line read, and pushes
-/// to a bucket whose bit is already set leave that line shared.
-pub struct PdBuckets {
-    stacks: Box<[PdStack]>,
-    summary: Summary,
-}
-
-#[repr(align(64))]
-struct Summary([AtomicU64; SUMMARY_WORDS]);
-
-impl PdBuckets {
-    /// Creates `n` empty buckets, indexed `0..n`.
-    pub fn new(n: usize) -> Self {
-        assert!(n <= SUMMARY_WORDS * 64, "more buckets than summary bits");
-        PdBuckets {
-            stacks: (0..n).map(|_| PdStack::new()).collect(),
-            summary: Summary([const { AtomicU64::new(0) }; SUMMARY_WORDS]),
-        }
-    }
-
-    #[inline]
-    fn word(&self, b: usize) -> (&AtomicU64, u64) {
-        (&self.summary.0[b / 64], 1 << (b % 64))
-    }
-
-    #[inline]
-    fn emit(&self, ev: fn(usize) -> ProbeEvent) {
-        probe::emit(ev(probe::line_of(&self.summary)));
-    }
-
-    /// Pushes `pd` on bucket `b`, returning the failed CAS attempts.
-    ///
-    /// # Safety
-    ///
-    /// As [`PdStack::push`].
-    pub unsafe fn push(&self, b: usize, pd: *mut PageDesc) -> u64 {
-        // SAFETY: forwarded caller contract.
-        let retries = unsafe { self.stacks[b].push(pd) };
-        let (word, bit) = self.word(b);
-        self.emit(|line| ProbeEvent::LineRead { line });
-        if word.load(Ordering::SeqCst) & bit == 0 {
-            self.emit(|line| ProbeEvent::LineRmw { line });
-            word.fetch_or(bit, Ordering::SeqCst);
-        }
-        retries
-    }
-
-    /// Pops the top of bucket `b` as [`PdStack::pop`] does, clearing the
-    /// summary bit of a bucket found empty.
-    pub fn pop(&self, b: usize) -> (Option<*mut PageDesc>, u64) {
-        let popped = self.stacks[b].pop();
-        if popped.0.is_some() {
-            return popped;
-        }
-        let (word, bit) = self.word(b);
-        self.emit(|line| ProbeEvent::LineRead { line });
-        if word.load(Ordering::SeqCst) & bit != 0 {
-            self.emit(|line| ProbeEvent::LineRmw { line });
-            word.fetch_and(!bit, Ordering::SeqCst);
-            if !self.stacks[b].is_empty_hint() {
-                self.emit(|line| ProbeEvent::LineRmw { line });
-                word.fetch_or(bit, Ordering::SeqCst);
-            }
-        }
-        popped
-    }
-
-    /// The lowest bucket `>= from` whose summary bit is set.
-    pub fn first_set_from(&self, from: usize) -> Option<usize> {
-        self.emit(|line| ProbeEvent::LineRead { line });
-        let mut mask = !0u64 << (from % 64);
-        for w in from / 64..SUMMARY_WORDS {
-            let bits = self.summary.0[w].load(Ordering::SeqCst) & mask;
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-            mask = !0;
-        }
-        None
-    }
-
-    /// The highest bucket `<= upto` whose summary bit is set.
-    pub fn last_set_upto(&self, upto: usize) -> Option<usize> {
-        self.emit(|line| ProbeEvent::LineRead { line });
-        let mut mask = !0u64 >> (63 - upto % 64);
-        for w in (0..=upto / 64).rev() {
-            let bits = self.summary.0[w].load(Ordering::SeqCst) & mask;
-            if bits != 0 {
-                return Some(w * 64 + 63 - bits.leading_zeros() as usize);
-            }
-            mask = !0;
-        }
-        None
-    }
-
-    /// Iterates every listed descriptor, bucket by bucket (verification),
-    /// asserting on the way that each non-empty bucket has its bit set.
-    ///
-    /// # Safety
-    ///
-    /// As [`PdStack::iter`], for every bucket.
-    pub unsafe fn iter(&self) -> impl Iterator<Item = *mut PageDesc> + '_ {
-        self.stacks.iter().enumerate().flat_map(move |(b, stack)| {
-            let (word, bit) = self.word(b);
-            assert!(
-                stack.is_empty_hint() || word.load(Ordering::SeqCst) & bit != 0,
-                "bucket {b} holds pages but its summary bit is clear"
-            );
-            // SAFETY: forwarded caller contract.
-            unsafe { stack.iter() }
-        })
     }
 }
 
@@ -673,7 +369,7 @@ mod tests {
             for &p in &ptrs {
                 list.push_front(p);
             }
-            assert_eq!(list.len(), 3);
+            assert_eq!(list.iter().count(), 3);
             assert_eq!(list.pop_front(), Some(ptrs[2]));
             assert_eq!(list.pop_front(), Some(ptrs[1]));
             assert_eq!(list.pop_front(), Some(ptrs[0]));
@@ -704,102 +400,6 @@ mod tests {
             list.remove(ptrs[1]);
             assert!(list.is_empty());
         }
-    }
-
-    #[test]
-    fn init_zeroes_the_lock_free_words() {
-        let pds = make_pds(1);
-        let pd = &*pds[0];
-        assert!(pd.state().load().is_null());
-        assert_eq!(pd.state().load().value(), 0);
-        assert!(pd.afree().load().is_null());
-    }
-
-    #[test]
-    fn pd_stack_push_pop_lifo() {
-        let mut pds = make_pds(3);
-        let ptrs: Vec<*mut PageDesc> = pds.iter_mut().map(|b| &mut **b as *mut _).collect();
-        let stack = PdStack::new();
-        assert!(stack.is_empty_hint());
-        // SAFETY: single-threaded test owns all descriptors.
-        unsafe {
-            for &p in &ptrs {
-                stack.push(p);
-            }
-        }
-        assert!(!stack.is_empty_hint());
-        assert_eq!(stack.pop().0, Some(ptrs[2]));
-        assert_eq!(stack.pop().0, Some(ptrs[1]));
-        assert_eq!(stack.pop().0, Some(ptrs[0]));
-        assert_eq!(stack.pop().0, None);
-    }
-
-    #[test]
-    fn pd_stack_concurrent_cycling_conserves_descriptors() {
-        const N: usize = 6;
-        let mut pds = make_pds(N);
-        let ptrs: Vec<usize> = pds
-            .iter_mut()
-            .map(|b| &mut **b as *mut PageDesc as usize)
-            .collect();
-        let stack = PdStack::new();
-        for &p in &ptrs {
-            // SAFETY: descriptors are owned and in no stack.
-            unsafe { stack.push(p as *mut PageDesc) };
-        }
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..10_000 {
-                        if let (Some(pd), _) = stack.pop() {
-                            // SAFETY: pop transferred possession.
-                            unsafe { stack.push(pd) };
-                        }
-                    }
-                });
-            }
-        });
-        let mut seen = Vec::new();
-        while let (Some(pd), _) = stack.pop() {
-            seen.push(pd as usize);
-        }
-        seen.sort_unstable();
-        let mut want = ptrs.clone();
-        want.sort_unstable();
-        assert_eq!(seen, want, "every descriptor back exactly once");
-    }
-
-    #[test]
-    fn buckets_summary_tracks_pushes_and_empty_pops() {
-        let mut pds = make_pds(3);
-        let ptrs: Vec<*mut PageDesc> = pds.iter_mut().map(|b| &mut **b as *mut _).collect();
-        let buckets = PdBuckets::new(257);
-        assert_eq!(buckets.first_set_from(0), None);
-        assert_eq!(buckets.last_set_upto(256), None);
-        // SAFETY: single-threaded test owns all descriptors.
-        unsafe {
-            buckets.push(3, ptrs[0]);
-            buckets.push(64, ptrs[1]);
-            buckets.push(256, ptrs[2]);
-            assert_eq!(buckets.iter().collect::<Vec<_>>(), ptrs);
-        }
-        // Scans cross word boundaries and honour their starting bucket.
-        assert_eq!(buckets.first_set_from(0), Some(3));
-        assert_eq!(buckets.first_set_from(4), Some(64));
-        assert_eq!(buckets.first_set_from(65), Some(256));
-        assert_eq!(buckets.first_set_from(257), None);
-        assert_eq!(buckets.last_set_upto(256), Some(256));
-        assert_eq!(buckets.last_set_upto(255), Some(64));
-        assert_eq!(buckets.last_set_upto(63), Some(3));
-        assert_eq!(buckets.last_set_upto(2), None);
-        // Taking the last page leaves the bit; the pop that finds the
-        // bucket empty clears it.
-        assert_eq!(buckets.pop(64).0, Some(ptrs[1]));
-        assert_eq!(buckets.first_set_from(4), Some(64));
-        assert_eq!(buckets.pop(64).0, None);
-        assert_eq!(buckets.first_set_from(4), Some(256));
-        assert_eq!(buckets.pop(3).0, Some(ptrs[0]));
-        assert_eq!(buckets.pop(256).0, Some(ptrs[2]));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The coalesce-to-page layer (paper Figure 5), lock-free.
+//! The coalesce-to-page layer (paper Figure 5).
 //!
 //! One instance per size class. "The coalesce-to-page layer gathers blocks
 //! of a given size and coalesces them into pages. This layer maintains a
@@ -12,59 +12,37 @@
 //! will be allocated from most frequently", giving nearly-free pages time
 //! to gather their last outstanding blocks and drain completely.
 //!
-//! # Lock-free protocol
+//! # One lock per class
 //!
-//! The spinlock of the original layer is gone. Each page descriptor carries
-//! two tagged words: `afree`, the page's block freelist (a Treiber stack
-//! through each free block's first word), and `state`, a packed
-//! `(count | bucket | LISTED | OWNED)` snapshot of the page's standing. The
-//! radix buckets are [`PdStack`]s of whole descriptors.
+//! As in the paper, the whole structure sits under one spinlock per class.
+//! The layers above amortise the traffic: a call here moves a chain of
+//! `target` blocks, so the lock is taken once per chain, not per block.
+//! Each page's freelist and free count live in its descriptor's
+//! [`PdInner`](crate::pagedesc::PdInner); the buckets are [`PdList`]s,
+//! with a bitmap beside them naming the non-empty ones, so picking a page
+//! is a scan of a few words however many buckets the class has.
 //!
-//! **Possession.** Physically popping a descriptor from a bucket grants
-//! *possession*: the popper CASes `state` from `{c, LISTED, b}` to
-//! `{c, OWNED}` and is then the only CPU allowed to take blocks, relist the
-//! page, or release it. Freeing CPUs never pop; they only push blocks and
-//! bump the count with one `fetch_count_add`.
+//! **Cost.** Every refill and drain is O(blocks moved): a refill takes its
+//! blocks off the front of the picked pages' freelists, and a drain gathers
+//! each run of consecutive chain blocks on one page and moves that page
+//! between buckets once per run.
 //!
-//! **Freelist before count.** A freer pushes the block onto `afree`
-//! *before* incrementing the count, and a possessor reserves blocks by
-//! CASing the count *down* before popping them, so the freelist length `L`
-//! and count `C` obey `L >= C + reserved` at all times. When a count
-//! reaches `blocks_per_page` every block is physically on the freelist and
-//! the page can be handed back whole.
-//!
-//! **Coalescing without a lock.** The freer whose increment takes a LISTED
-//! page's count to `blocks_per_page` *hunts* the bucket recorded in the
-//! state: it pops pages, possesses each, releases any it finds full, and
-//! stops once the target is met. An empty-handed hunt is absolved — some
-//! other CPU possessed the page and will itself observe the full count.
-//! Every possessor that observes `count == blocks_per_page` releases the
-//! page, so a full page is never relisted and never double-freed.
-//!
-//! **Lazy buckets.** A listed page's bucket only records the count at
-//! listing time; the true count may have grown since (it is monotone
-//! non-decreasing while LISTED). Poppers repair stale positions by
-//! relisting the page at its true count, which keeps the radix policy —
-//! fewest-free-first under an ascending scan — exact in the absence of
-//! concurrent frees and a best-effort approximation under them.
-//!
-//! **Cost.** Every refill and drain is O(blocks moved). The scan reads the
-//! buckets' summary bitmap ([`PdBuckets`]) instead of every bucket head, a
-//! possessor takes its blocks by swinging the freelist head past them in
-//! one CAS, and a drain pays one freelist splice and one count add per
-//! same-page run. What is left over is the hunt, which pops and relists
-//! every page stacked above its target.
+//! **Where page work runs.** A fresh page is taken from the vmblk layer
+//! and carved with the class lock released; only listing it needs the
+//! lock. A page that drains completely goes back to the vmblk layer from
+//! under the class lock, so the lock order is class → vmblk — and the
+//! vmblk layer never calls up.
 
 use core::ptr;
-use core::sync::atomic::{AtomicUsize, Ordering};
 
-use kmem_smp::{faults, CachePadded, EventCounter, Faults, NodeId, TaggedPtr};
+use kmem_smp::probe::{self, ProbeEvent};
+use kmem_smp::{faults, CachePadded, Faults, LocalCounter, NodeId, SpinLock, SpinLockGuard};
 use kmem_vm::{VmError, PAGE_SIZE};
 
-use crate::block::{self, LinkKey};
+use crate::block::{self, LinkKey, MIN_BLOCK};
 use crate::chain::Chain;
 use crate::counters::counters;
-use crate::pagedesc::{PageDesc, PdBuckets, PdKind};
+use crate::pagedesc::{PageDesc, PdKind, PdList};
 use crate::vmblklayer::VmblkLayer;
 
 counters! {
@@ -79,80 +57,118 @@ counters! {
         counter page_releases: u64,
         /// Individual blocks pushed down from the global layer.
         counter block_frees: u64,
-        /// Failed CAS attempts on the lock-free radix lists and per-page
-        /// freelists (contention indicator; zero when single-threaded).
+        /// Class-lock acquisitions that found the lock held (contention
+        /// indicator; zero when single-threaded). The name is kept from the
+        /// lock-free layer this one replaced, for readers of older
+        /// snapshots.
         counter cas_retries: u64,
     }
-    /// Live statistics of one coalesce-to-page instance. Retries are
-    /// declared last, so a sweep reads them first: they precede the
-    /// operation counters they belong to, and a live sample never shows an
-    /// operation whose retries are still missing.
-    live struct PageLayerStats<EventCounter>;
+    /// Live statistics of one coalesce-to-page instance. Every row is
+    /// written with the class lock held, so a bump is a load and a store.
+    live struct PageLayerStats<LocalCounter>;
 }
 
-/// Decoded view of a page's packed `state` word. Layout inside the 48-bit
-/// value half of the [`TaggedAtomic`](kmem_smp::TaggedAtomic):
-/// count in bits 0..16, listing bucket in bits 16..32, flags above. The
-/// count sits in the low bits so a freer's `fetch_count_add(1)` increments
-/// it without disturbing bucket or flags (a page holds at most
-/// `PAGE_SIZE / MIN_BLOCK` = 256 blocks, far below the 16-bit field).
-#[derive(Clone, Copy)]
-struct PageState(u64);
+/// Words of [`BucketBits`]: one bit per possible free count,
+/// `0..=PAGE_SIZE / MIN_BLOCK`.
+const BUCKET_WORDS: usize = (PAGE_SIZE / MIN_BLOCK + 1).div_ceil(64);
 
-const COUNT_MASK: u64 = 0xFFFF;
-const BUCKET_SHIFT: u32 = 16;
-const LISTED: u64 = 1 << 32;
-const OWNED: u64 = 1 << 33;
-
-impl PageState {
-    #[inline]
-    fn of(tp: TaggedPtr) -> Self {
-        PageState(tp.value())
-    }
-
-    #[inline]
-    fn count(self) -> usize {
-        (self.0 & COUNT_MASK) as usize
-    }
-
-    /// Bucket recorded at listing time; meaningful only while LISTED.
-    #[inline]
-    fn bucket(self) -> usize {
-        ((self.0 >> BUCKET_SHIFT) & COUNT_MASK) as usize
-    }
-
-    #[inline]
-    fn listed(self) -> bool {
-        self.0 & LISTED != 0
-    }
-
-    #[inline]
-    fn owned(self) -> bool {
-        self.0 & OWNED != 0
-    }
-
-    #[inline]
-    fn owned_value(count: usize) -> u64 {
-        count as u64 | OWNED
-    }
-
-    #[inline]
-    fn listed_value(count: usize, bucket: usize) -> u64 {
-        count as u64 | ((bucket as u64) << BUCKET_SHIFT) | LISTED
-    }
-}
-
-/// The words a [`PageLayer`] writes on the calls that reach it, kept off
-/// the lines of the words every call only reads: on two CPUs, a write
-/// beside `blocks_per_page` or `faults` would send every other call back
-/// to fetch that line.
+/// One bit per radix bucket, set exactly while the bucket holds a page.
 #[derive(Default)]
-struct HotWords {
+struct BucketBits([u64; BUCKET_WORDS]);
+
+impl BucketBits {
+    fn set(&mut self, b: usize) {
+        self.0[b / 64] |= 1 << (b % 64);
+    }
+
+    fn clear(&mut self, b: usize) {
+        self.0[b / 64] &= !(1 << (b % 64));
+    }
+
+    fn get(&self, b: usize) -> bool {
+        self.0[b / 64] & (1 << (b % 64)) != 0
+    }
+
+    /// The lowest set bucket `>= from`.
+    fn first_set_from(&self, from: usize) -> Option<usize> {
+        let mut mask = !0u64 << (from % 64);
+        for w in from / 64..BUCKET_WORDS {
+            let bits = self.0[w] & mask;
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// The highest set bucket `<= upto`.
+    fn last_set_upto(&self, upto: usize) -> Option<usize> {
+        let mut mask = !0u64 >> (63 - upto % 64);
+        for w in (0..=upto / 64).rev() {
+            let bits = self.0[w] & mask;
+            if bits != 0 {
+                return Some(w * 64 + 63 - bits.leading_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+}
+
+/// What the class lock guards.
+struct Pages {
+    /// `buckets[c]` lists the pages with exactly `c` free blocks. Bucket 0
+    /// is unused; bucket `blocks_per_page` holds only the full pages whose
+    /// coalesce the `page.coalesce` failpoint deferred.
+    buckets: Box<[PdList]>,
+    bits: BucketBits,
     /// Pages currently owned by this class.
-    npages: AtomicUsize,
+    npages: usize,
     /// Free blocks across all owned pages.
-    free_blocks: AtomicUsize,
+    free_blocks: usize,
+}
+
+impl Pages {
+    /// Lists `pd` in bucket `b`.
+    ///
+    /// # Safety
+    ///
+    /// `pd` is a page of this class and in no list.
+    unsafe fn list(&mut self, b: usize, pd: *mut PageDesc) {
+        // SAFETY: the class lock is held (we are behind its guard).
+        unsafe { self.buckets[b].push_front(pd) };
+        self.bits.set(b);
+    }
+
+    /// Takes `pd` out of bucket `b`.
+    ///
+    /// # Safety
+    ///
+    /// `pd` is listed in bucket `b`.
+    unsafe fn unlist(&mut self, b: usize, pd: *mut PageDesc) {
+        // SAFETY: as for `list`.
+        unsafe { self.buckets[b].remove(pd) };
+        if self.buckets[b].is_empty() {
+            self.bits.clear(b);
+        }
+    }
+}
+
+/// The class lock, and the counters only its holder writes: the words a
+/// call writes, kept off the lines of the words every call only reads.
+struct Locked {
+    pages: SpinLock<Pages>,
     stats: PageLayerStats,
+}
+
+/// Reports the write of a page descriptor: the one shared line a refill
+/// or drain touches besides the class lock's own.
+#[inline]
+fn touch(pd: *const PageDesc) {
+    probe::emit(ProbeEvent::LineWrite {
+        line: probe::line_of(pd),
+    });
 }
 
 /// The coalesce-to-page layer for one size class.
@@ -161,13 +177,8 @@ pub struct PageLayer {
     block_size: usize,
     blocks_per_page: usize,
     radix: bool,
-    /// Bucket `c` lists pages listed with `c` free blocks (lazily: the
-    /// true count may since have grown). Bucket 0 is unused; bucket
-    /// `blocks_per_page` holds only fault-deferred full pages.
-    buckets: PdBuckets,
-    hot: CachePadded<HotWords>,
-    /// Link-encoding key for the per-page `afree` freelists (the arena
-    /// key under the hardened profile, identity otherwise).
+    /// Link-encoding key for the per-page freelists (the arena key under
+    /// the hardened profile, identity otherwise).
     key: LinkKey,
     /// `Some(seed)` shuffles each fresh page's carve order (hardened
     /// randomization); `None` carves in ascending address order.
@@ -176,6 +187,7 @@ pub struct PageLayer {
     /// alloc holds for never-yet-allocated blocks too.
     poison: bool,
     faults: Faults,
+    locked: CachePadded<Locked>,
 }
 
 impl PageLayer {
@@ -208,19 +220,26 @@ impl PageLayer {
         shuffle_seed: Option<u64>,
         poison: bool,
     ) -> Self {
-        assert!(block_size.is_power_of_two() && block_size <= PAGE_SIZE);
+        assert!(block_size.is_power_of_two() && (MIN_BLOCK..=PAGE_SIZE).contains(&block_size));
         let blocks_per_page = PAGE_SIZE / block_size;
         PageLayer {
             class,
             block_size,
             blocks_per_page,
             radix,
-            buckets: PdBuckets::new(blocks_per_page + 1),
-            hot: CachePadded::default(),
             key,
             shuffle_seed,
             poison,
             faults,
+            locked: CachePadded::new(Locked {
+                pages: SpinLock::new(Pages {
+                    buckets: (0..=blocks_per_page).map(|_| PdList::new()).collect(),
+                    bits: BucketBits::default(),
+                    npages: 0,
+                    free_blocks: 0,
+                }),
+                stats: PageLayerStats::default(),
+            }),
         }
     }
 
@@ -231,7 +250,30 @@ impl PageLayer {
 
     /// Layer statistics.
     pub fn stats(&self) -> &PageLayerStats {
-        &self.hot.stats
+        &self.locked.stats
+    }
+
+    /// Consults `page.get`, which a refill does on entry and again before
+    /// taking a fresh page: a firing consult is an injected refill failure.
+    fn consult_page_get(&self) -> Result<(), VmError> {
+        if self.faults.hit(faults::PAGE_GET) {
+            return Err(VmError::OutOfPhysical {
+                requested: 1,
+                available: 0,
+            });
+        }
+        Ok(())
+    }
+
+    /// Takes the class lock, counting an acquisition that finds it held.
+    #[inline]
+    fn lock(&self) -> SpinLockGuard<'_, Pages> {
+        if let Some(pages) = self.locked.pages.try_lock() {
+            return pages;
+        }
+        let pages = self.locked.pages.lock();
+        self.locked.stats.cas_retries.bump();
+        pages
     }
 
     /// Collects up to `want` blocks for the global layer.
@@ -255,32 +297,85 @@ impl PageLayer {
         want: usize,
         preferred: NodeId,
     ) -> Result<Chain, VmError> {
-        if self.faults.hit(faults::PAGE_GET) {
-            // Injected refill failure on the common (lock-free) path.
-            return Err(VmError::OutOfPhysical {
-                requested: 1,
-                available: 0,
-            });
-        }
-        self.hot.stats.refills.inc();
+        self.consult_page_get()?;
         let mut chain = Chain::new_keyed(self.key);
-        while chain.len() < want {
-            let pd = match self.pop_page(vm) {
-                Some(pd) => pd,
-                None => match self.acquire_page(vm, preferred) {
-                    Ok(pd) => pd,
-                    Err(_) if !chain.is_empty() => break, // low memory: short chain
-                    Err(e) => return Err(e),
-                },
+        let mut pages = self.lock();
+        self.locked.stats.refills.bump();
+        loop {
+            while chain.len() < want {
+                let Some((b, pd)) = self.pick(&pages) else {
+                    break;
+                };
+                // SAFETY: lock held; `pick` found `pd` listed in bucket `b`.
+                unsafe {
+                    pages.unlist(b, pd);
+                    self.take(&mut pages, pd, want, &mut chain);
+                }
+            }
+            if chain.len() == want {
+                return Ok(chain);
+            }
+            drop(pages);
+            let pd = match self.acquire_page(vm, preferred) {
+                Ok(pd) => pd,
+                Err(_) if !chain.is_empty() => return Ok(chain), // low memory: short chain
+                Err(e) => return Err(e),
             };
-            // SAFETY: `pd` is possessed by us (popped or freshly acquired).
-            unsafe { self.take_from(vm, pd, want, &mut chain) };
+            pages = self.lock();
+            self.locked.stats.page_acquires.bump();
+            pages.npages += 1;
+            pages.free_blocks += self.blocks_per_page;
+            // SAFETY: lock held; the fresh page is ours and in no list.
+            unsafe { self.take(&mut pages, pd, want, &mut chain) };
         }
-        Ok(chain)
     }
 
-    /// Returns each block in `chain` to its page's lock-free freelist;
-    /// fully drained pages go back to the vmblk layer.
+    /// The listed page a refill takes from next. The paper's radix policy
+    /// scans the buckets *ascending*, so the page with the fewest free
+    /// blocks is taken; the ablation (`radix = false`) scans descending —
+    /// the tempting "fewest page visits per refill" optimization that
+    /// destroys page drain. A fault-deferred full page sits in the top
+    /// bucket and is consumed like any other.
+    fn pick(&self, pages: &Pages) -> Option<(usize, *mut PageDesc)> {
+        let b = if self.radix {
+            pages.bits.first_set_from(1)?
+        } else {
+            pages.bits.last_set_upto(self.blocks_per_page)?
+        };
+        Some((b, pages.buckets[b].front()?))
+    }
+
+    /// Moves up to `want - chain.len()` blocks off the front of page
+    /// `pd`'s freelist into `chain`, then lists the page at what it has
+    /// left (a page with nothing left stays unlisted until a free).
+    ///
+    /// # Safety
+    ///
+    /// The class lock is held, and `pd` is a page of this class in no list.
+    unsafe fn take(&self, pages: &mut Pages, pd: *mut PageDesc, want: usize, chain: &mut Chain) {
+        touch(pd);
+        // SAFETY: lock held per contract.
+        let pdi = unsafe { (*pd).inner() };
+        let have = pdi.free_count as usize;
+        let k = have.min(want - chain.len());
+        for _ in 0..k {
+            let blk = pdi.freelist;
+            debug_assert!(!blk.is_null(), "page freelist under-supplied");
+            // SAFETY: `blk` is a free block on this page's freelist.
+            pdi.freelist = unsafe { block::read_next(blk, self.key) };
+            // SAFETY: off the freelist, the block is the chain's alone.
+            unsafe { chain.push(blk) };
+        }
+        pdi.free_count = (have - k) as u32;
+        pages.free_blocks -= k;
+        if have > k {
+            // SAFETY: `pd` is in no list per contract.
+            unsafe { pages.list(have - k, pd) };
+        }
+    }
+
+    /// Returns each block in `chain` to its page's freelist; fully drained
+    /// pages go back to the vmblk layer.
     ///
     /// "There is no reason to maintain a split freelist at the global
     /// layer, since each block must be individually examined by the
@@ -292,411 +387,91 @@ impl PageLayer {
     /// Every block in `chain` must belong to this class (allocated through
     /// it) and be free and unaliased.
     pub unsafe fn free_chain(&self, vm: &VmblkLayer, mut chain: Chain) {
-        // Accounted once, and up front: a racing reader of `usage()` sees
-        // blocks in flight counted early, never a total that a concurrent
-        // reservation has already taken below zero.
-        let total = chain.len();
-        self.hot.stats.block_frees.add(total as u64);
-        self.hot.free_blocks.fetch_add(total, Ordering::Relaxed);
-        let mut spliced = 0;
-        // The descriptor that ended the previous run starts the next one.
-        let mut carried = None;
-        while let Some(blk) = chain.pop() {
-            let pd = carried
-                .take()
-                .or_else(|| vm.pd_of(blk as usize))
+        let bpp = self.blocks_per_page;
+        let mut pages = self.lock();
+        self.locked.stats.block_frees.add(chain.len() as u64);
+        // A hardened chain that meets a clobbered link sinks itself: the
+        // blocks behind the link are lost to the count, as the arena
+        // accounts them.
+        let mut next = chain.pop();
+        while let Some(first) = next {
+            let pd = vm
+                .pd_of(first as usize)
                 .expect("freed block not managed by this allocator");
             debug_assert_eq!(pd.kind(), PdKind::BlockPage);
             debug_assert_eq!(pd.class(), self.class);
             let pd_ptr = pd as *const PageDesc as *mut PageDesc;
-
-            // Gather the run of consecutive chain blocks landing on the
-            // same page and pre-link it privately: however long the run,
-            // it then costs one freelist splice and one count add. Chains
-            // built from one page's blocks (the common refill shape) fold
-            // to a single RMW pair.
-            let run_tail = blk;
-            let mut run_head = blk;
-            let mut k = 1u64;
-            while let Some(next) = chain.peek() {
-                let next_pd = vm.pd_of(next as usize);
-                if !next_pd.is_some_and(|p| ptr::eq(p, pd)) {
-                    carried = next_pd;
-                    break;
-                }
-                chain.pop();
-                // SAFETY: `next` is free and ours per the function
-                // contract; the run stays private until the splice below
-                // publishes it.
-                unsafe { block::write_next_atomic(next, run_head, self.key) };
-                run_head = next;
-                k += 1;
-            }
-            spliced += k as usize;
-
-            // Freelist before count: splice the run, then announce it, so
-            // any CPU seeing the count can also pop the blocks it promises.
-            let mut head = pd.afree().load();
+            touch(pd_ptr);
+            // SAFETY: the class lock is held and this class owns the page.
+            let pdi = unsafe { pd.inner() };
+            let before = pdi.free_count as usize;
+            // The run of consecutive chain blocks landing on this page
+            // goes onto its freelist with one bucket move, however long.
+            let page = first as usize & !(PAGE_SIZE - 1);
+            let mut blk = first;
+            let mut run = 0;
             loop {
-                // SAFETY: `run_tail` is free and ours per the contract.
-                unsafe { block::write_next_atomic(run_tail, head.ptr(), self.key) };
-                match pd.afree().compare_exchange(head, run_head) {
-                    Ok(_) => break,
-                    Err(seen) => {
-                        self.hot.stats.cas_retries.inc();
-                        head = seen;
-                    }
+                // SAFETY: `blk` is free and ours per the function contract.
+                unsafe { block::write_next(blk, pdi.freelist, self.key) };
+                pdi.freelist = blk;
+                run += 1;
+                next = chain.pop();
+                match next {
+                    Some(b) if b as usize & !(PAGE_SIZE - 1) == page => blk = b,
+                    _ => break,
                 }
             }
-
-            let old = PageState::of(pd.state().fetch_count_add(k));
-            let count = old.count() + k as usize;
-            debug_assert!(count <= self.blocks_per_page);
-            if old.owned() {
-                // A possessor is working the page; it settles the count.
-            } else if old.listed() {
-                if count == self.blocks_per_page {
-                    // Our increment filled the page: coalesce it.
-                    self.hunt(vm, old.bucket(), pd_ptr);
-                }
-            } else if old.count() == 0 {
-                // First free into an unlisted page: we are the unique
-                // lister. (Later freers see a nonzero count and rely on
-                // us listing at the count we re-read.)
-                self.list_unowned(vm, pd_ptr);
+            let count = before + run;
+            debug_assert!(count <= bpp);
+            pdi.free_count = count as u32;
+            pages.free_blocks += run;
+            if before > 0 {
+                // SAFETY: a page with free blocks is listed at its count.
+                unsafe { pages.unlist(before, pd_ptr) };
             }
-        }
-        if spliced != total {
-            // A hardened chain sank itself on a clobbered link.
-            self.hot
-                .free_blocks
-                .fetch_sub(total - spliced, Ordering::Relaxed);
-        }
-    }
-
-    /// Pops a page to allocate from, transferring possession to the
-    /// caller. The paper's radix policy scans buckets *ascending* so the
-    /// page with the fewest free blocks is taken; the ablation
-    /// (`radix = false`) scans descending — the tempting "fewest page
-    /// visits per refill" optimization that destroys page drain.
-    ///
-    /// Stale positions (true count above the listed bucket) are repaired
-    /// by settling the page at its true count; fault-deferred full pages
-    /// are returned directly for consumption. Only buckets whose summary
-    /// bit is set are visited.
-    fn pop_page(&self, vm: &VmblkLayer) -> Option<*mut PageDesc> {
-        let bpp = self.blocks_per_page;
-        let mut at = if self.radix { 1 } else { bpp };
-        loop {
-            let b = if self.radix {
-                self.buckets.first_set_from(at)?
+            if count == bpp {
+                self.coalesce(&mut pages, vm, pd);
             } else {
-                self.buckets.last_set_upto(at)?
-            };
-            let Some(pd) = self.pop_bucket(b) else {
-                at = if self.radix { b + 1 } else { b - 1 };
-                continue;
-            };
-            let c = self.possess(pd);
-            if c == b || c == bpp {
-                return Some(pd);
+                // SAFETY: unlisted just above, or never listed at 0.
+                unsafe { pages.list(count, pd_ptr) };
             }
-            // Stale (c > b). Repairs never move a page *down*, so the
-            // ascending scan stays exact by carrying on at this bucket;
-            // the descending scan has already passed the page's true
-            // bucket and starts over from the top.
-            self.settle_one(vm, pd);
-            at = if self.radix { b } else { bpp };
-        }
-    }
-
-    /// Pops bucket `b`, counting any CAS retries.
-    fn pop_bucket(&self, b: usize) -> Option<*mut PageDesc> {
-        let (popped, retries) = self.buckets.pop(b);
-        self.retried(retries);
-        popped
-    }
-
-    /// Counts `n` failed CAS attempts; the usual zero costs no RMW.
-    #[inline]
-    fn retried(&self, n: u64) {
-        if n != 0 {
-            self.hot.stats.cas_retries.add(n);
-        }
-    }
-
-    /// CASes a physically popped page from LISTED to OWNED, returning the
-    /// observed free count. Flags are stable while the page is popped
-    /// (only freers touch the word, and they only move the count), so the
-    /// loop converges.
-    fn possess(&self, pd: *mut PageDesc) -> usize {
-        // SAFETY: a physical pop grants possession; `pd` is valid
-        // (descriptor storage is type-stable).
-        let pdr = unsafe { &*pd };
-        let mut cur = pdr.state().load();
-        loop {
-            let st = PageState::of(cur);
-            debug_assert!(st.listed() && !st.owned(), "possessing an unlisted page");
-            match pdr
-                .state()
-                .compare_exchange_value(cur, PageState::owned_value(st.count()))
-            {
-                Ok(_) => return st.count(),
-                Err(seen) => {
-                    self.hot.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        }
-    }
-
-    /// Takes up to `want - chain.len()` blocks from possessed page `pd`,
-    /// then settles it (relist / release / unlist).
-    ///
-    /// # Safety
-    ///
-    /// The caller possesses `pd`.
-    unsafe fn take_from(&self, vm: &VmblkLayer, pd: *mut PageDesc, want: usize, chain: &mut Chain) {
-        // SAFETY: possessed per contract.
-        let pdr = unsafe { &*pd };
-        // Reserve first: CAS the count down, then pop that many blocks.
-        // The freelist-before-count discipline guarantees they are there.
-        let mut cur = pdr.state().load();
-        let take = loop {
-            let st = PageState::of(cur);
-            debug_assert!(st.owned());
-            let k = st.count().min(want - chain.len());
-            if k == 0 {
-                break 0;
-            }
-            match pdr
-                .state()
-                .compare_exchange_value(cur, PageState::owned_value(st.count() - k))
-            {
-                Ok(_) => break k,
-                Err(seen) => {
-                    self.hot.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        };
-        if take > 0 {
-            self.hot.free_blocks.fetch_sub(take, Ordering::Relaxed);
-            // Possession makes this CPU the freelist's only consumer:
-            // whatever freers push in front, the blocks behind the head
-            // stay put. So walk `take` links from the head and swing the
-            // head past them in one CAS, starting over from the new head
-            // if a freer got in first. The reservation made the blocks
-            // ours, and freelist-before-count guarantees they are there.
-            let mut head = pdr.afree().load();
-            loop {
-                let mut rest = head.ptr();
-                for _ in 0..take {
-                    debug_assert!(!rest.is_null(), "page freelist under-supplied");
-                    // SAFETY: `rest` is a free block of this page; its next
-                    // field was published by the pushing CPU's Release CAS.
-                    rest = unsafe { block::read_next_atomic(rest, self.key) };
-                }
-                match pdr.afree().compare_exchange(head, rest) {
-                    Ok(_) => break,
-                    Err(seen) => {
-                        self.hot.stats.cas_retries.inc();
-                        head = seen;
-                    }
-                }
-            }
-            let mut blk = head.ptr();
-            for _ in 0..take {
-                // SAFETY: detached above, so the link is ours to read.
-                let next = unsafe { block::read_next_atomic(blk, self.key) };
-                // SAFETY: reserved and detached above.
-                unsafe { chain.push(blk) };
-                blk = next;
-            }
-        }
-        self.settle_one(vm, pd);
-    }
-
-    /// Settles a possessed page: unlists it at count 0, releases it when
-    /// full (unless an injected fault defers the coalesce, in which case
-    /// it is listed at bucket `blocks_per_page` for a later pass), and
-    /// relists it at its true count otherwise.
-    fn settle_one(&self, vm: &VmblkLayer, pd: *mut PageDesc) {
-        // SAFETY: possessed by the caller.
-        let pdr = unsafe { &*pd };
-        let mut cur = pdr.state().load();
-        loop {
-            let st = PageState::of(cur);
-            debug_assert!(st.owned() && !st.listed());
-            let c = st.count();
-            if c == self.blocks_per_page {
-                if !self.faults.hit(faults::PAGE_COALESCE) {
-                    self.release_owned(vm, pdr);
-                    return;
-                }
-                // Injected deferral: park the full page in the top bucket.
-            } else if c == 0 {
-                match pdr.state().compare_exchange_value(cur, 0) {
-                    Ok(_) => return, // unlisted; the next free relists it
-                    Err(seen) => {
-                        self.hot.stats.cas_retries.inc();
-                        cur = seen;
-                        continue;
-                    }
-                }
-            }
-            match pdr
-                .state()
-                .compare_exchange_value(cur, PageState::listed_value(c, c))
-            {
-                Ok(_) => {
-                    self.push_listed(vm, pd, c);
-                    return;
-                }
-                Err(seen) => {
-                    self.hot.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        }
-    }
-
-    /// Lists a page after its state CAS to LISTED at bucket `c`, then mops
-    /// up the window between the CAS and the physical push: a freer that
-    /// filled the page in that window hunted an emptier bucket and was
-    /// absolved, so the lister re-checks and hunts on its behalf.
-    fn push_listed(&self, vm: &VmblkLayer, pd: *mut PageDesc, c: usize) {
-        // SAFETY: we possess `pd` until this push publishes it.
-        let retries = unsafe { self.buckets.push(c, pd) };
-        self.retried(retries);
-        if c != self.blocks_per_page {
-            // SAFETY: descriptor storage is type-stable.
-            let st = PageState::of(unsafe { (*pd).state().load() });
-            if st.listed() && st.count() == self.blocks_per_page {
-                self.hunt(vm, c, pd);
-            }
-        }
-    }
-
-    /// First free into an unlisted, unowned page: list it at its current
-    /// count — or, if the page has already refilled completely, claim and
-    /// release it directly.
-    fn list_unowned(&self, vm: &VmblkLayer, pd: *mut PageDesc) {
-        // SAFETY: descriptor storage is type-stable.
-        let pdr = unsafe { &*pd };
-        let mut cur = pdr.state().load();
-        loop {
-            let st = PageState::of(cur);
-            debug_assert!(!st.listed() && !st.owned());
-            let c = st.count();
-            debug_assert!(c >= 1);
-            if c == self.blocks_per_page && !self.faults.hit(faults::PAGE_COALESCE) {
-                // Claiming is the same CAS a possessor would use; with it
-                // we hold the only reference to an all-free page.
-                match pdr
-                    .state()
-                    .compare_exchange_value(cur, PageState::owned_value(c))
-                {
-                    Ok(_) => {
-                        self.release_owned(vm, pdr);
-                        return;
-                    }
-                    Err(seen) => {
-                        self.hot.stats.cas_retries.inc();
-                        cur = seen;
-                        continue;
-                    }
-                }
-            }
-            match pdr
-                .state()
-                .compare_exchange_value(cur, PageState::listed_value(c, c))
-            {
-                Ok(_) => {
-                    self.push_listed(vm, pd, c);
-                    return;
-                }
-                Err(seen) => {
-                    self.hot.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        }
-    }
-
-    /// Coalesce hunt: our free filled a LISTED page, so *someone* must
-    /// release it. Pop pages from the bucket it was listed in, releasing
-    /// every full page found, until the target turns up — or the bucket
-    /// runs dry, which absolves us: a racing possessor popped the target
-    /// and will itself observe the full count.
-    fn hunt(&self, vm: &VmblkLayer, bucket: usize, target: *mut PageDesc) {
-        if self.faults.hit(faults::PAGE_COALESCE) {
-            // Injected deferral: leave the page listed; a later popper,
-            // hunt, or flush settles it.
-            return;
-        }
-        let mut aside = Vec::new();
-        while let Some(pd) = self.pop_bucket(bucket) {
-            let c = self.possess(pd);
-            if c == self.blocks_per_page {
-                // SAFETY: possessed, full.
-                self.release_owned(vm, unsafe { &*pd });
-                if pd == target {
-                    break;
-                }
-            } else {
-                // Not ours and not full: set it aside — relisting now
-                // could push it back on top of the target.
-                aside.push(pd);
-            }
-        }
-        for pd in aside {
-            self.settle_one(vm, pd);
         }
     }
 
     /// Takes one fresh page from the vmblk layer (preferring frames homed
-    /// on `preferred`), carves it into blocks and returns it possessed
-    /// (OWNED, all blocks on `afree`).
+    /// on `preferred`) and carves it into blocks, all on its freelist. Runs
+    /// without the class lock: until it is listed, the page is the
+    /// caller's alone.
     fn acquire_page(&self, vm: &VmblkLayer, preferred: NodeId) -> Result<*mut PageDesc, VmError> {
-        if self.faults.hit(faults::PAGE_GET) {
-            // Injected refill failure on the slow (vmblk) path.
-            return Err(VmError::OutOfPhysical {
-                requested: 1,
-                available: 0,
-            });
-        }
+        self.consult_page_get()?;
         let (page, pd) = vm.alloc_span_on(1, preferred)?;
-        self.hot.stats.page_acquires.inc();
         let base = page.as_ptr();
         pd.set_class(self.class);
         pd.set_kind(PdKind::BlockPage);
+        // SAFETY: the page is ours alone until it is listed.
+        let pdi = unsafe { pd.inner() };
+        pdi.freelist = ptr::null_mut();
+        pdi.free_count = self.blocks_per_page as u32;
         // Carve the page into blocks, building the page freelist — in
         // ascending address order by default, or in an order shuffled
         // from the hardened seed so allocation order does not expose the
-        // page layout. Plain writes: nothing is published until the
-        // freelist-head CAS below releases them.
-        let mut freelist = ptr::null_mut();
-        let carve = |i: usize, freelist: &mut *mut u8| {
+        // page layout.
+        let carve = |i: usize| {
             // SAFETY: offsets stay inside the page we own.
             let blk = unsafe { base.add(i * self.block_size) };
             // SAFETY: `blk` is a fresh free block of this page.
             unsafe {
-                block::write_next(blk, *freelist, self.key);
+                block::write_next(blk, pdi.freelist, self.key);
                 if self.poison {
                     block::poison_free(blk, self.block_size);
                 } else {
                     block::poison(blk);
                 }
             }
-            *freelist = blk;
+            pdi.freelist = blk;
         };
         match self.shuffle_seed {
-            None => {
-                for i in (0..self.blocks_per_page).rev() {
-                    carve(i, &mut freelist);
-                }
-            }
+            None => (0..self.blocks_per_page).rev().for_each(carve),
             Some(seed) => {
                 // Fisher–Yates over the block indices, seeded per page
                 // (arena seed ⊕ page address) so two pages of the same
@@ -713,107 +488,83 @@ impl PageLayer {
                     z ^= z >> 31;
                     order.swap(i, (z % (i as u64 + 1)) as usize);
                 }
-                for &i in &order {
-                    carve(i, &mut freelist);
-                }
+                order.into_iter().for_each(carve);
             }
         }
-        // The page is exclusively ours, so these CASes cannot contend;
-        // the loops only track the tag.
-        let mut cur = pd.afree().load();
-        debug_assert!(cur.is_null());
-        while let Err(seen) = pd.afree().compare_exchange(cur, freelist) {
-            cur = seen;
-        }
-        let mut cur = pd.state().load();
-        debug_assert_eq!(cur.value(), 0);
-        while let Err(seen) = pd
-            .state()
-            .compare_exchange_value(cur, PageState::owned_value(self.blocks_per_page))
-        {
-            cur = seen;
-        }
-        self.hot
-            .free_blocks
-            .fetch_add(self.blocks_per_page, Ordering::Relaxed);
-        self.hot.npages.fetch_add(1, Ordering::Relaxed);
         Ok(pd as *const PageDesc as *mut PageDesc)
     }
 
-    /// Returns a possessed, fully free page to the vmblk layer ("the
+    /// Hands a page whose every block is free back to the vmblk layer ("the
     /// physical memory is returned to the system; the virtual memory is
-    /// retained and passed up"). With the count at `blocks_per_page` no
-    /// freer or popper can reach the page, so the resets are private.
-    fn release_owned(&self, vm: &VmblkLayer, pd: &PageDesc) {
-        self.hot.stats.page_releases.inc();
-        let mut cur = pd.state().load();
-        debug_assert_eq!(PageState::of(cur).count(), self.blocks_per_page);
-        debug_assert!(PageState::of(cur).owned());
-        while let Err(seen) = pd.state().compare_exchange_value(cur, 0) {
-            cur = seen;
+    /// retained and passed up") — unless the `page.coalesce` failpoint
+    /// defers it, parking the page in the top bucket for a later refill or
+    /// [`flush_full_pages`](PageLayer::flush_full_pages).
+    fn coalesce(&self, pages: &mut Pages, vm: &VmblkLayer, pd: &PageDesc) {
+        if self.faults.hit(faults::PAGE_COALESCE) {
+            // SAFETY: the caller holds the lock; the page is in no list.
+            unsafe { pages.list(self.blocks_per_page, pd as *const PageDesc as *mut PageDesc) };
+            return;
         }
-        let mut cur = pd.afree().load();
-        while let Err(seen) = pd.afree().compare_exchange(cur, ptr::null_mut()) {
-            cur = seen;
-        }
-        self.hot
-            .free_blocks
-            .fetch_sub(self.blocks_per_page, Ordering::Relaxed);
-        self.hot.npages.fetch_sub(1, Ordering::Relaxed);
+        self.locked.stats.page_releases.bump();
+        // SAFETY: the caller holds the class lock; the page is unlisted.
+        let pdi = unsafe { pd.inner() };
+        pdi.freelist = ptr::null_mut();
+        pdi.free_count = 0;
+        pages.npages -= 1;
+        pages.free_blocks -= self.blocks_per_page;
         pd.set_kind(PdKind::Unused);
         pd.set_class(0);
         // SAFETY: the span is exactly the fully free page we own.
         unsafe { vm.free_span_at(vm.page_of(pd), 1) };
     }
 
-    /// Pops every listed page and settles it at its true count, releasing
-    /// any that are full — the recovery pass for fault-deferred coalesces
-    /// and the final drain before teardown. Safe under concurrency (every
-    /// pop possesses), though buckets refilled by racing frees are not
-    /// re-scanned.
+    /// Releases every full page a fault-deferred coalesce left listed —
+    /// the recovery pass, and the final drain before teardown. Each
+    /// release consults `page.coalesce` again.
     pub fn flush_full_pages(&self, vm: &VmblkLayer) {
-        let mut possessed = Vec::new();
-        let mut at = 0;
-        while let Some(b) = self.buckets.first_set_from(at) {
-            while let Some(pd) = self.pop_bucket(b) {
-                self.possess(pd);
-                possessed.push(pd);
-            }
-            at = b + 1;
-        }
-        for pd in possessed {
-            self.settle_one(vm, pd);
+        let bpp = self.blocks_per_page;
+        let mut pages = self.lock();
+        let mut full = core::mem::take(&mut pages.buckets[bpp]);
+        pages.bits.clear(bpp);
+        // SAFETY: lock held; `full` holds the pages taken off the bucket.
+        while let Some(pd) = unsafe { full.pop_front() } {
+            // SAFETY: listed descriptors are valid block pages of this class.
+            self.coalesce(&mut pages, vm, unsafe { &*pd });
         }
     }
 
-    /// (owned pages, free blocks) — verification. Exact at quiescence.
+    /// (owned pages, free blocks) — verification.
     pub fn usage(&self) -> (usize, usize) {
-        (
-            self.hot.npages.load(Ordering::Acquire),
-            self.hot.free_blocks.load(Ordering::Acquire),
-        )
+        let pages = self.lock();
+        (pages.npages, pages.free_blocks)
     }
 
     /// Walks every listed page in ascending bucket order, calling
-    /// `f(free_count, freelist_len)`, and asserts that every non-empty
-    /// bucket has its summary bit set.
-    ///
-    /// Verification only: the layer must be quiescent for the walk (no
-    /// concurrent allocs or frees), as the torture checkpoints guarantee.
+    /// `f(free_count, freelist_len)`, and asserts that each bucket's bit
+    /// says whether it holds a page and that each page is listed at its
+    /// count (verification).
     pub fn for_each_page(&self, mut f: impl FnMut(usize, usize)) {
-        // SAFETY: quiescence per the function contract.
-        for pd in unsafe { self.buckets.iter() } {
-            // SAFETY: listed pages are valid block pages of this class.
-            let pdr = unsafe { &*pd };
-            let st = PageState::of(pdr.state().load());
-            let mut n = 0;
-            let mut blk = pdr.afree().load().ptr();
-            while !blk.is_null() {
-                n += 1;
-                // SAFETY: page freelist blocks are free and linked.
-                blk = unsafe { block::read_next_atomic(blk, self.key) };
+        let pages = self.lock();
+        for (b, list) in pages.buckets.iter().enumerate() {
+            assert_eq!(
+                pages.bits.get(b),
+                !list.is_empty(),
+                "bucket {b}'s bit disagrees with its list"
+            );
+            // SAFETY: lock held for the whole walk.
+            for pd in unsafe { list.iter() } {
+                // SAFETY: listed pages are valid block pages of this class.
+                let pdi = unsafe { (*pd).inner() };
+                assert_eq!(pdi.free_count as usize, b, "page listed off its count");
+                let mut n = 0;
+                let mut blk = pdi.freelist;
+                while !blk.is_null() {
+                    n += 1;
+                    // SAFETY: page freelist blocks are free and linked.
+                    blk = unsafe { block::read_next(blk, self.key) };
+                }
+                f(b, n);
             }
-            f(st.count(), n);
         }
     }
 }
@@ -821,7 +572,6 @@ impl PageLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmem_smp::probe::{self, ProbeEvent};
     use kmem_smp::FailPolicy;
     use kmem_vm::{KernelSpace, SpaceConfig};
     use std::sync::Arc;
@@ -844,14 +594,30 @@ mod tests {
         n
     }
 
+    /// One letter per probe event: `L`ock acquire, `u`nlock, `r`ead,
+    /// `w`rite, interlocked `m`odify.
+    fn steps(events: &[ProbeEvent]) -> String {
+        events
+            .iter()
+            .map(|e| match e {
+                ProbeEvent::LockAcquire { .. } => 'L',
+                ProbeEvent::LockRelease { .. } => 'u',
+                ProbeEvent::LineRead { .. } => 'r',
+                ProbeEvent::LineWrite { .. } => 'w',
+                ProbeEvent::LineRmw { .. } => 'm',
+                ProbeEvent::Work { .. } => '.',
+            })
+            .collect()
+    }
+
     #[test]
-    fn hot_words_share_no_line_with_the_read_mostly_ones() {
+    fn locked_words_share_no_line_with_the_read_mostly_ones() {
         use core::mem::{offset_of, size_of};
         // The 64-byte lines a field of `len` bytes at `offset` touches.
         let lines = |offset: usize, len: usize| offset / 64..=(offset + len - 1) / 64;
         let hot = lines(
-            offset_of!(PageLayer, hot),
-            size_of::<CachePadded<HotWords>>(),
+            offset_of!(PageLayer, locked),
+            size_of::<CachePadded<Locked>>(),
         );
         for (name, cold) in [
             (
@@ -869,9 +635,32 @@ mod tests {
         ] {
             assert!(
                 cold.end() < hot.start() || hot.end() < cold.start(),
-                "`{name}` on lines {cold:?} shares one with the hot words on {hot:?}"
+                "`{name}` on lines {cold:?} shares one with the locked words on {hot:?}"
             );
         }
+    }
+
+    #[test]
+    fn bucket_bits_scan_across_word_boundaries() {
+        let mut bits = BucketBits::default();
+        assert_eq!(bits.first_set_from(0), None);
+        assert_eq!(bits.last_set_upto(256), None);
+        for b in [3, 64, 256] {
+            bits.set(b);
+        }
+        // Scans cross word boundaries and honour their starting bucket.
+        assert_eq!(bits.first_set_from(0), Some(3));
+        assert_eq!(bits.first_set_from(4), Some(64));
+        assert_eq!(bits.first_set_from(65), Some(256));
+        assert_eq!(bits.first_set_from(257), None);
+        assert_eq!(bits.last_set_upto(256), Some(256));
+        assert_eq!(bits.last_set_upto(255), Some(64));
+        assert_eq!(bits.last_set_upto(63), Some(3));
+        assert_eq!(bits.last_set_upto(2), None);
+        bits.clear(64);
+        assert!(!bits.get(64) && bits.get(3) && bits.get(256));
+        assert_eq!(bits.first_set_from(4), Some(256));
+        assert_eq!(bits.last_set_upto(255), Some(3));
     }
 
     #[test]
@@ -1036,33 +825,42 @@ mod tests {
         unsafe { layer.free_chain(&vm, chain) };
     }
 
+    /// The paper's amortisation, stated as probe events: a refill served
+    /// from listed pages and a drain that releases no page each take the
+    /// class lock exactly once, and take no other lock.
     #[test]
-    fn steady_state_alloc_free_takes_no_spinlock() {
+    fn refill_and_drain_take_the_class_lock_once() {
         let (vm, layer) = setup(512, true, 64);
         // Warm a page with free blocks so the steady state never touches
         // the vmblk layer.
         let warm = layer.alloc_chain(&vm, 3).unwrap();
-        let ((), events) = probe::record(|| {
-            for _ in 0..8 {
-                let c = layer.alloc_chain(&vm, 1).unwrap();
-                assert_eq!(c.len(), 1);
-                // SAFETY: block from this layer.
-                unsafe { layer.free_chain(&vm, c) };
+        let lock = &layer.locked.pages as *const SpinLock<Pages> as usize;
+        for _ in 0..8 {
+            let (chain, alloc) = probe::record(|| layer.alloc_chain(&vm, 1).unwrap());
+            assert_eq!(chain.len(), 1);
+            // SAFETY: block from this layer.
+            let ((), free) = probe::record(|| unsafe { layer.free_chain(&vm, chain) });
+            for events in [alloc, free] {
+                let locks: Vec<_> = events
+                    .iter()
+                    .filter(|e| {
+                        matches!(
+                            e,
+                            ProbeEvent::LockAcquire { .. } | ProbeEvent::LockRelease { .. }
+                        )
+                    })
+                    .collect();
+                assert_eq!(
+                    locks,
+                    [
+                        &ProbeEvent::LockAcquire { lock },
+                        &ProbeEvent::LockRelease { lock }
+                    ],
+                    "{}",
+                    steps(&events)
+                );
             }
-        });
-        assert!(
-            !events.iter().any(|e| matches!(
-                e,
-                ProbeEvent::LockAcquire { .. } | ProbeEvent::LockRelease { .. }
-            )),
-            "steady-state page refill/free must not take a spinlock: {events:?}"
-        );
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, ProbeEvent::LineRmw { .. })),
-            "tagged-CAS traffic should be visible to the probe"
-        );
+        }
         assert_eq!(layer.stats().cas_retries.get(), 0, "no contention here");
         // SAFETY: blocks from this layer.
         unsafe { layer.free_chain(&vm, warm) };
@@ -1070,11 +868,11 @@ mod tests {
     }
 
     /// The step bound: a refill from a listed page issues the same short
-    /// sequence of shared-line accesses whether the page it scans for and
+    /// sequence of shared-memory events whether the page it scans for and
     /// takes from holds 8 blocks or 256.
     #[test]
     fn refill_steps_do_not_grow_with_blocks_per_page() {
-        let steps = |block_size: usize| {
+        let refill = |block_size: usize| {
             let (vm, layer) = setup(block_size, true, 64);
             // Carves a page and lists it three blocks short of full.
             let first = layer.alloc_chain(&vm, 3).unwrap();
@@ -1086,18 +884,56 @@ mod tests {
                 unsafe { layer.free_chain(&vm, chain) };
             }
             assert_eq!(layer.usage(), (0, 0));
-            events
-                .iter()
-                .map(|e| match e {
-                    ProbeEvent::LineRead { .. } => 'r',
-                    ProbeEvent::LineRmw { .. } => 'm',
-                    other => panic!("unexpected probe event {other:?}"),
-                })
-                .collect::<String>()
+            steps(&events)
         };
-        let (small, large) = (steps(16), steps(512));
+        let (small, large) = (refill(16), refill(512));
         assert_eq!(small, large, "16-B and 512-B refills must step alike");
-        assert!(small.len() <= 20, "{} steps: {small}", small.len());
+        assert_eq!(small, "Lwu");
+    }
+
+    /// The drain's step bound: the free that fills the bottom page of a
+    /// bucket unlinks it in place, whether 2 or 64 pages are listed there.
+    #[test]
+    fn drain_steps_do_not_grow_with_pages_listed_above() {
+        let drain = |npages: usize| {
+            let (vm, layer) = setup(2048, true, 256);
+            // Take both blocks of each of `npages` fresh pages.
+            let mut held: Vec<(*mut u8, *mut u8)> = (0..npages)
+                .map(|_| {
+                    let mut c = layer.alloc_chain(&vm, 2).unwrap();
+                    (c.pop().unwrap(), c.pop().unwrap())
+                })
+                .collect();
+            // One block back per page lists every page in bucket 1, the
+            // first freed at the bottom.
+            for &(blk, _) in &held {
+                let mut c = Chain::new();
+                // SAFETY: a block of this layer, freed once.
+                unsafe {
+                    c.push(blk);
+                    layer.free_chain(&vm, c);
+                }
+            }
+            let mut last = Chain::new();
+            // SAFETY: the bottom page's other block, freed once.
+            unsafe { last.push(held.remove(0).1) };
+            // SAFETY: as above.
+            let ((), events) = probe::record(|| unsafe { layer.free_chain(&vm, last) });
+            assert_eq!(layer.stats().page_releases.get(), 1);
+            let mut rest = Chain::new();
+            for (_, blk) in held {
+                // SAFETY: each page's remaining block, freed once.
+                unsafe { rest.push(blk) };
+            }
+            // SAFETY: as above.
+            unsafe { layer.free_chain(&vm, rest) };
+            assert_eq!(layer.usage(), (0, 0));
+            steps(&events)
+        };
+        let (two, many) = (drain(2), drain(64));
+        assert_eq!(two, many, "a drain must not walk the pages above its own");
+        // The class lock around the vmblk layer's release of the page.
+        assert_eq!(two, "LwLwuu");
     }
 
     #[test]
@@ -1110,7 +946,7 @@ mod tests {
         let vm = VmblkLayer::new(space, true);
         let layer =
             PageLayer::new_hardened(3, 256, true, Faults::none(), key, Some(0x5eed_f00d), true);
-        // One whole page: 16 blocks, all through encoded afree links.
+        // One whole page: 16 blocks, all through encoded freelist links.
         let mut chain = layer.alloc_chain(&vm, 16).unwrap();
         assert_eq!(chain.len(), 16);
         let mut order = Vec::new();

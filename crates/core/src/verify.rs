@@ -19,11 +19,10 @@ use crate::arena::KmemArena;
 ///   the lock-free fast path, which checks the cached block count
 ///   *before* pushing, so each CPU can land at most one extra in-flight
 ///   chain past the bound (DESIGN.md §9);
-/// * page layer: every per-page free count matches its freelist length
-///   and lies within `1..=blocks_per_page` for listed pages (full pages
-///   may stay listed briefly — a deferred coalesce — but are never
-///   double-listed), the sum of per-page free counts equals the layer's
-///   radix-visible total, and no page appears in two buckets.
+/// * page layer: every listed page sits in the bucket of its free count,
+///   which matches its freelist length and lies within
+///   `1..=blocks_per_page` (a full page stays listed only while a fault
+///   defers its coalesce), and the counts sum to the layer's total.
 ///
 /// # Panics
 ///
@@ -56,11 +55,9 @@ pub fn verify_arena(arena: &KmemArena) {
             listed_pages += 1;
             summed_counts += count;
         });
-        // Conservation across the radix lists: the atomic per-page counts
-        // must sum to exactly the layer's free-block total, and every
-        // owned page with free blocks must be listed exactly once (a
-        // double-listed page would inflate both sums; a coalesced page
-        // left behind in a bucket would trip the freelist-length check).
+        // Conservation across the radix lists: a page listed twice would
+        // inflate both sums below, and a released page left in a bucket
+        // would trip the freelist-length check above.
         let (pages, free_blocks) = layer.usage();
         assert_eq!(
             summed_counts, free_blocks,

@@ -43,15 +43,7 @@ fn listed_counts(layer: &PageLayer) -> Vec<usize> {
 /// must match the model, no listed page may be fully free (such pages are
 /// released immediately), and single-block refills must come from a page
 /// with the minimum free count — the radix policy — or, under the
-/// `radix = false` ablation, the maximum. Every step runs at quiescence,
-/// where the summary-driven scan must be exact, not approximate.
-///
-/// Bucket positions are lazy: a page freed into since it was listed sits
-/// below its true count. The ascending scan meets such a page before any
-/// it could wrongly prefer and repairs it on the way, so fewest-free-first
-/// needs no help. The descending scan can stop at a well-placed page above
-/// a stale one, so the ablation is exact only over repaired positions: its
-/// refills follow the recovery pass, which re-buckets every listed page.
+/// `radix = false` ablation, the maximum.
 fn mixed_workload_obeys_policy(block_size: usize, radix: bool) {
     let (vm, layer) = setup(block_size, radix);
     let bpp = layer.blocks_per_page();
@@ -68,9 +60,6 @@ fn mixed_workload_obeys_policy(block_size: usize, radix: bool) {
             // Single-block refills so each one's source page is checkable.
             let listed = model.values().copied().filter(|&c| c > 0);
             let preferred = if radix { listed.min() } else { listed.max() };
-            if !radix {
-                layer.flush_full_pages(&vm);
-            }
             let Ok(mut chain) = layer.alloc_chain(&vm, 1) else {
                 continue;
             };
@@ -153,7 +142,7 @@ fn mixed_workload_obeys_policy(block_size: usize, radix: bool) {
     assert_eq!(vm.space().phys().in_use(), 0);
 }
 
-/// 512 B keeps every bucket in one summary word; 32 B spreads its 129
+/// 512 B keeps every bucket in one bitmap word; 32 B spreads its 129
 /// over three, so scans cross word boundaries in both directions.
 #[test]
 fn mixed_workload_obeys_radix_policy() {

@@ -52,8 +52,8 @@ impl TaggedPtr {
     pub const NULL: TaggedPtr = TaggedPtr { raw: 0 };
 
     /// Packs the low [`PTR_BITS`] of `value` under `tag`. Width is not
-    /// judged here: [`TaggedAtomic::exchange`] does, once it knows whether
-    /// the value was computed from a stale read.
+    /// judged here: [`TaggedAtomic::compare_exchange`] does, once it knows
+    /// whether the value was computed from a stale read.
     fn pack(value: u64, tag: u16) -> TaggedPtr {
         TaggedPtr {
             raw: (u64::from(tag) << PTR_BITS) | (value & PTR_MASK),
@@ -102,12 +102,10 @@ impl TaggedAtomic {
 
     /// Loads the current `(pointer, tag)` pair.
     ///
-    /// `SeqCst`, as a successful exchange is: the page layer's bucket
-    /// summary (`PdBuckets`) pairs a push to one of these words with a
-    /// load of another word on one CPU, and a store to that word with a
-    /// load of this one on another. Only the single total order keeps both
-    /// loads from missing both stores. On x86-64 and ARMv8 the
-    /// instructions are those acquire and acquire-release already took.
+    /// `SeqCst`, as a successful exchange is. On x86-64 and ARMv8 the
+    /// instructions are those acquire and acquire-release already take;
+    /// whether any caller needs more than acquire is a question for a
+    /// model checker, not for this comment.
     #[inline]
     pub fn load(&self) -> TaggedPtr {
         probe::emit(ProbeEvent::LineRead {
@@ -125,8 +123,7 @@ impl TaggedAtomic {
     /// observed pair for the caller's retry. Success publishes the
     /// stores the caller made to `new`'s pointee before the call (a
     /// Treiber push's next-link write) to whoever then reads the word
-    /// with [`load`](TaggedAtomic::load), and is `SeqCst` for the reason
-    /// given there.
+    /// with [`load`](TaggedAtomic::load); like that load, it is `SeqCst`.
     ///
     /// A pop computes `new` from a link word it read *before* this call
     /// confirms it still owns the head. If a racing CPU took the block
@@ -140,25 +137,7 @@ impl TaggedAtomic {
         current: TaggedPtr,
         new: *mut u8,
     ) -> Result<TaggedPtr, TaggedPtr> {
-        self.exchange(current, new as usize as u64)
-    }
-
-    /// Attempts to replace `current` with the 48-bit `value`, incrementing
-    /// the generation tag — [`compare_exchange`] for words that carry a
-    /// packed bitfield instead of a pointer.
-    ///
-    /// [`compare_exchange`]: TaggedAtomic::compare_exchange
-    #[inline]
-    pub fn compare_exchange_value(
-        &self,
-        current: TaggedPtr,
-        value: u64,
-    ) -> Result<TaggedPtr, TaggedPtr> {
-        self.exchange(current, value)
-    }
-
-    #[inline]
-    fn exchange(&self, current: TaggedPtr, value: u64) -> Result<TaggedPtr, TaggedPtr> {
+        let value = new as usize as u64;
         probe::emit(ProbeEvent::LineRmw {
             line: probe::line_of(self),
         });
@@ -177,19 +156,12 @@ impl TaggedAtomic {
     /// tag in **one** atomic read-modify-write, returning the *previous*
     /// `(value, tag)` pair.
     ///
-    /// This is the fetch-style helper the coalesce-to-page layer's atomic
-    /// free counts need: a freeing CPU bumps a page's packed free count
-    /// without a CAS loop, while the tag bump keeps every concurrent
-    /// [`compare_exchange_value`] honest — any interleaved `fetch_count_add`
-    /// changes the tag, so a CAS armed with a pre-add snapshot fails and
-    /// re-reads. The caller must guarantee the value half cannot overflow
-    /// into the tag bits (page free counts are bounded by blocks-per-page,
-    /// far below 2⁴⁸).
+    /// A counter word with no CAS loop: the mailbox's ticket head takes
+    /// its tickets this way. The caller must guarantee the value half
+    /// cannot overflow into the tag bits.
     ///
-    /// AcqRel: the returned snapshot observes prior writes (a freeing CPU's
-    /// block push), and the add publishes the caller's earlier stores.
-    ///
-    /// [`compare_exchange_value`]: TaggedAtomic::compare_exchange_value
+    /// AcqRel: the returned snapshot observes the writes published by
+    /// earlier adds, and the add publishes the caller's earlier stores.
     #[inline]
     pub fn fetch_count_add(&self, delta: u64) -> TaggedPtr {
         probe::emit(ProbeEvent::LineRmw {
@@ -267,7 +239,6 @@ mod tests {
             .compare_exchange(stale, user_word as usize as *mut u8)
             .unwrap_err();
         assert_eq!(seen, now);
-        assert_eq!(head.compare_exchange_value(stale, user_word), Err(now));
         assert_eq!(head.load(), now, "a failed exchange installs nothing");
     }
 
@@ -277,7 +248,7 @@ mod tests {
     fn installing_an_overwide_value_still_asserts() {
         let head = TaggedAtomic::null();
         let cur = head.load();
-        let _ = head.compare_exchange_value(cur, 1 << PTR_BITS);
+        let _ = head.compare_exchange(cur, (1u64 << PTR_BITS) as usize as *mut u8);
     }
 
     #[test]
@@ -295,18 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn value_words_round_trip_and_tag_on_exchange() {
-        let word = TaggedAtomic::null();
-        let cur = word.load();
-        assert_eq!(cur.value(), 0);
-        let installed = word.compare_exchange_value(cur, 0x1234_5678).unwrap();
-        assert_eq!(installed.value(), 0x1234_5678);
-        assert_eq!(installed.tag(), 1);
-        // Stale snapshot fails on the tag even with a matching value.
-        assert!(word.compare_exchange_value(cur, 0x1234_5678).is_err());
-    }
-
-    #[test]
     fn fetch_count_add_returns_previous_and_bumps_tag() {
         let word = TaggedAtomic::null();
         let before = word.fetch_count_add(3);
@@ -319,21 +278,6 @@ mod tests {
         let after = word.load();
         assert_eq!(after.value(), 3 | (1 << 16));
         assert_eq!(after.tag(), 2);
-    }
-
-    #[test]
-    fn fetch_count_add_defeats_cas_over_unchanged_value() {
-        // The ABA shape for packed counts: value returns to its old bits
-        // but the tag has moved, so a stale CAS must fail.
-        let word = TaggedAtomic::null();
-        let snap = word.load();
-        word.fetch_count_add(1);
-        let up = word.load();
-        // Subtract via CAS (the reserve path): value back to 0.
-        word.compare_exchange_value(up, 0).unwrap();
-        assert_eq!(word.load().value(), snap.value());
-        let err = word.compare_exchange_value(snap, 7).unwrap_err();
-        assert_eq!(err.tag(), 2, "two ops moved the generation twice");
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Focused contention regression for the lock-free page layer over the
-//! vmblk layer.
+//! Focused contention regression for the page layer over the vmblk layer.
 //!
-//! The radix-list rework removed every lock from the page layer's steady
-//! state: tagged-pointer bucket stacks and per-page atomic free counts
-//! with coalesce-by-counter, over the vmblk layer's boundary-tag lock.
-//! These tests hammer that whole stack with real threads — chain rings
-//! churning the radix lists, periodic full drains forcing coalesce-to-page
-//! and whole pages back through the boundary-tag lock — and then assert
-//! the conservation contract: every page and block accounted for, the
-//! layer and the vmblk span structure both drained to empty.
+//! The page layer is one spinlock per class, and a page that drains
+//! completely goes back to the vmblk layer from under it (lock order
+//! class → vmblk). These tests hammer that whole stack with real threads —
+//! chain rings churning the radix lists, periodic full drains forcing
+//! coalesce-to-page and whole pages back through the boundary-tag lock —
+//! and then assert the conservation contract: every page and block
+//! accounted for, the layer and the vmblk span structure both drained to
+//! empty.
 //!
 //! The thread count honours `KMEM_PAGE_THREADS` (the CI sweep drives
 //! 2/4/8), and `KMEM_TORTURE_FAULTS=1` arms the `page.get` and
@@ -68,7 +67,7 @@ fn ring_storm_conserves_pages_and_blocks() {
 }
 
 /// The same storm over 32-byte blocks: 129 buckets under a three-word
-/// summary bitmap, ten-block chains walking pages down through them.
+/// bitmap, ten-block chains walking pages down through them.
 #[test]
 fn ring_storm_conserves_pages_across_summary_words() {
     ring_storm(32, 10);

@@ -84,11 +84,12 @@ for t in 2 4 8; do
 done
 
 echo "==> page-layer contention regression (thread sweep, faults on)"
-# The lock-free page layer over the vmblk layer under real threads: chain
-# rings churn the tagged radix lists while periodic full drains force
-# coalesce-to-page and whole pages back through the boundary-tag lock,
-# with the page.get / page.coalesce failpoints armed. Conservation and
-# recovery are asserted inside the tests.
+# The page layer (one lock per class) over the vmblk layer under real
+# threads: chain rings churn the radix lists while periodic full drains
+# force coalesce-to-page and whole pages back through the boundary-tag
+# lock from under the class lock (lock order class -> vmblk), with the
+# page.get / page.coalesce failpoints armed. Conservation and recovery are
+# asserted inside the tests.
 for t in 2 4 8; do
     echo "    KMEM_PAGE_THREADS=$t"
     KMEM_TORTURE_FAULTS=1 KMEM_PAGE_THREADS="$t" \
@@ -100,6 +101,13 @@ done
 # for one page and for any span length.
 cargo test -q --release --offline -p kmem --lib \
     span_pair_steps_do_not_grow_with_span_length
+# The page layer's step budgets, likewise: a refill takes the class lock
+# once whatever a page holds, and a drain that fills a page unlinks it in
+# place whatever is listed above it.
+cargo test -q --release --offline -p kmem --lib \
+    refill_steps_do_not_grow_with_blocks_per_page
+cargo test -q --release --offline -p kmem --lib \
+    drain_steps_do_not_grow_with_pages_listed_above
 
 echo "==> hardened profile (release): detection guards + torture round"
 # The corruption defenses must detect in *release* builds, not just under
