@@ -15,7 +15,8 @@
 //! This crate implements (3) and (4) from their sources and defines the
 //! [`KernelAllocator`] trait that lets benches and tests drive all four
 //! through one interface ([`adapters`] wraps the `kmem` arena). [`spin`]
-//! holds the spin-locked global pool the lock-free one replaced.
+//! holds the fake-block helpers that drive a global pool without an
+//! arena.
 
 pub mod adapters;
 pub mod mk;

@@ -1,29 +1,28 @@
-//! Global-layer contention: lock-free Treiber stack vs spinlocked pool.
+//! Global-layer contention: the pool's chain ping-pong and a whole arena's
+//! hardened tax under the same threads.
 //!
-//! Real OS threads ping-pong intact `target`-sized chains through a shared
-//! pool — the CPU-to-CPU recycling pattern of paper §3.2 — once through
-//! the lock-free [`GlobalPool`] (one tag-CAS per direction) and once
-//! through the naive spinlocked `Vec<Chain>` the rework replaced. Reports
-//! ns per get/put pair for each thread count and writes the sweep to
-//! `BENCH_global.json` at the workspace root (hand-rolled JSON; the
-//! workspace is hermetic).
+//! Real OS threads ping-pong intact `target`-sized chains through one
+//! shared [`GlobalPool`] — the CPU-to-CPU recycling pattern of paper §3.2,
+//! one pool-lock acquisition per direction — and report ns per get/put
+//! pair for each thread count. A second sweep runs whole arenas, default
+//! against the full hardened profile, with flush-forced traffic through
+//! the global layer. Both sweeps go to `BENCH_global.json` at the
+//! workspace root.
 //!
 //! Run: `cargo bench --features bench-ext --bench global_contention`.
 //!
-//! On a loaded or single-core host the absolute numbers are noise, but
-//! the *comparison* still holds (both sides run the identical workload,
-//! and the reported figure is the min over interleaved repetitions, so
-//! scheduler spikes are filtered out of both sides alike), so the
-//! ≥ 8-thread shape pin — lock-free no slower than spinlocked — is
-//! asserted here rather than eyeballed.
+//! On a loaded or single-core host the absolute numbers are noise (the
+//! report then says `path_length_only`); the reported figure is the min
+//! over repetitions, so scheduler spikes are filtered out. The hardened
+//! profile's multiplier over the default is asserted here rather than
+//! eyeballed.
 
 use std::sync::Barrier;
 use std::time::Instant;
 
-use kmem::chain::Chain;
 use kmem::global::GlobalPool;
 use kmem::{HardenedConfig, KmemConfig};
-use kmem_baselines::spin::{backing, chain, discard, SpinPool};
+use kmem_baselines::spin::{backing, chain, discard};
 use kmem_bench::{arena_contended_pair_ns, BenchReport};
 
 const TARGET: usize = 4;
@@ -32,10 +31,9 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Timed repetitions per (pool, thread count); the minimum is reported.
 const REPS: usize = 7;
 /// Pool depth in chains, fixed across thread counts: a gbltarget-scale
-/// pool riding near its bound, as in a tuned deployment. Depth matters
-/// because the replaced design re-summed every chain on the list under
-/// the lock on *every* put (its bound check), an O(depth) walk the
-/// lock-free pool's derived block count eliminates.
+/// pool riding near its bound, as in a tuned deployment. Depth costs
+/// nothing: a get or put moves one `(head, tail)` pair and the block
+/// count is kept, not summed.
 const POOL_CHAINS: usize = 128;
 /// Whole-arena hardened sweep: alloc/free pairs per thread, with a
 /// flush every [`HARDENED_FLUSH_EVERY`] pairs forcing cross-layer
@@ -50,48 +48,9 @@ const HARDENED_SEED: u64 = 0x4245_4e43_4752_4e44; // "BENCGRND"
 /// cost should *shrink* relative to the uncontended 6x fast-path bound.
 const HARDENED_MAX_MULT: f64 = 8.0;
 
-/// The two pools under one interface.
-trait ChainPool: Sync {
-    fn get(&self) -> Option<Chain>;
-    fn put(&self, c: Chain);
-    fn drain(&self);
-}
-
-impl ChainPool for GlobalPool {
-    fn get(&self) -> Option<Chain> {
-        self.get_chain()
-    }
-
-    fn put(&self, c: Chain) {
-        assert!(
-            self.put_chain(c).is_none(),
-            "bench pool sized to never spill"
-        );
-    }
-
-    fn drain(&self) {
-        discard(self.drain_all());
-    }
-}
-
-/// The pre-rework design: one lock around the whole pool.
-impl ChainPool for SpinPool {
-    fn get(&self) -> Option<Chain> {
-        SpinPool::get(self)
-    }
-
-    fn put(&self, c: Chain) {
-        SpinPool::put(self, c);
-    }
-
-    fn drain(&self) {
-        SpinPool::drain(self);
-    }
-}
-
 /// Times `threads` × [`OPS_PER_THREAD`] get/put pairs against `pool`,
 /// which must be pre-seeded; returns ns per pair.
-fn run_pairs(pool: &dyn ChainPool, threads: usize) -> f64 {
+fn run_pairs(pool: &GlobalPool, threads: usize) -> f64 {
     let barrier = Barrier::new(threads);
     // Phase wall = max(end) - min(start), stamped inside the workers:
     // the worker rolling straight through the barrier release stamps the
@@ -106,8 +65,11 @@ fn run_pairs(pool: &dyn ChainPool, threads: usize) -> f64 {
                     barrier.wait();
                     let start = Instant::now();
                     for _ in 0..OPS_PER_THREAD {
-                        if let Some(c) = pool.get() {
-                            pool.put(c);
+                        if let Some(c) = pool.get_chain() {
+                            assert!(
+                                pool.put_chain(c).is_none(),
+                                "bench pool sized to never spill"
+                            );
                         }
                     }
                     (start, Instant::now())
@@ -121,28 +83,18 @@ fn run_pairs(pool: &dyn ChainPool, threads: usize) -> f64 {
     (end - start).as_nanos() as f64 / (threads * OPS_PER_THREAD) as f64
 }
 
-fn bench_spin(threads: usize) -> f64 {
-    let mut store = backing(POOL_CHAINS * TARGET);
-    // Same headroom as the lock-free pool below.
-    let pool = SpinPool::new(POOL_CHAINS * TARGET);
-    for i in 0..POOL_CHAINS {
-        pool.put(chain(&mut store, i * TARGET..(i + 1) * TARGET));
-    }
-    let ns = run_pairs(&pool, threads);
-    pool.drain();
-    ns
-}
-
-fn bench_lockfree(threads: usize) -> f64 {
+fn bench_pool(threads: usize) -> f64 {
     let mut store = backing(POOL_CHAINS * TARGET);
     // gbltarget sized so the bound (2 * gbltarget) is never exceeded:
-    // every put rides the fast path, as in a tuned deployment.
+    // every put lands within it, as in a tuned deployment.
     let pool = GlobalPool::new(TARGET, POOL_CHAINS * TARGET);
     for i in 0..POOL_CHAINS {
-        pool.put(chain(&mut store, i * TARGET..(i + 1) * TARGET));
+        assert!(pool
+            .put_chain(chain(&mut store, i * TARGET..(i + 1) * TARGET))
+            .is_none());
     }
     let ns = run_pairs(&pool, threads);
-    pool.drain();
+    discard(pool.drain_all());
     ns
 }
 
@@ -169,23 +121,12 @@ fn main() {
     let mut rows = Vec::new();
     for threads in THREAD_COUNTS {
         // Warm-up pass absorbs thread-spawn and first-touch costs.
-        let _ = bench_spin(threads);
-        let _ = bench_lockfree(threads);
-        // Interleaved repetitions, min of each side: the intrinsic
-        // per-pair cost with scheduler interference (which dominates an
-        // oversubscribed host) filtered out of both pools alike.
-        let mut spin = f64::INFINITY;
-        let mut lockfree = f64::INFINITY;
-        for _ in 0..REPS {
-            spin = spin.min(bench_spin(threads));
-            lockfree = lockfree.min(bench_lockfree(threads));
-        }
-        println!(
-            "global_contention/{threads:>2} threads   spinlock {spin:>9.1} ns/pair   \
-             lock-free {lockfree:>9.1} ns/pair   ({:.2}x)",
-            spin / lockfree
-        );
-        rows.push((threads, spin, lockfree));
+        let _ = bench_pool(threads);
+        let ns = (0..REPS)
+            .map(|_| bench_pool(threads))
+            .fold(f64::INFINITY, f64::min);
+        println!("global_contention/{threads:>2} threads   pool     {ns:>9.1} ns/pair");
+        rows.push((threads, ns));
     }
 
     // Hardened variant of the sweep: the same thread counts, but whole
@@ -213,13 +154,9 @@ fn main() {
             .usize("hardened_flush_every", HARDENED_FLUSH_EVERY)
             .usize("hardened_size", HARDENED_SIZE);
     });
-    report
-        .body()
-        .arr("results", &rows, |&(threads, spin, lockfree), row| {
-            row.usize("threads", threads)
-                .f64("spinlock_ns", spin, 1)
-                .f64("lockfree_ns", lockfree, 1);
-        });
+    report.body().arr("results", &rows, |&(threads, ns), row| {
+        row.usize("threads", threads).f64("pool_ns", ns, 1);
+    });
     report.body().arr(
         "hardened",
         &hardened_rows,
@@ -232,18 +169,7 @@ fn main() {
     );
     report.write_artifact("BENCH_global.json");
 
-    // Shape pin: at every measured count of 8+ threads the lock-free
-    // layer must not lose to the lock it replaced.
-    for (threads, spin, lockfree) in rows {
-        if threads >= 8 {
-            assert!(
-                lockfree < spin,
-                "lock-free pool slower than spinlock at {threads} threads: \
-                 {lockfree:.1} vs {spin:.1} ns/pair"
-            );
-        }
-    }
-    // And the hardened profile stays a bounded tax under contention.
+    // The hardened profile stays a bounded tax under contention.
     for (threads, default_ns, hardened_ns) in hardened_rows {
         assert!(
             hardened_ns <= default_ns * HARDENED_MAX_MULT,

@@ -6,8 +6,8 @@
 //! background thread, in exchange for one wait-free mailbox post. The honest win criterion is therefore the
 //! *tail*: the p99/p999 of the per-iteration latency distribution, where
 //! the inline configuration pays the lock-and-walk cost every time a
-//! flush crosses the global layer and the core configuration pays a
-//! single tagged-counter RMW.
+//! flush crosses the global layer and the core configuration pays the
+//! put's pool lock and a single tagged-counter RMW.
 //!
 //! Each thread runs grow/shrink waves: allocate [`BURST`] blocks into a
 //! stash, then free them all, repeatedly (connection-churn traffic, not
@@ -17,7 +17,7 @@
 //! `target` frees and the global layer sits past its bound, so the
 //! inline profile pays the locked trim-and-spill into the page layer on
 //! ~6% of iterations — well above the p99 cut — while the core profile
-//! pushes the same chains lock-free and posts a deduplicated `Settle`.
+//! lands the same chains and posts a deduplicated `Settle`.
 //! Every iteration is timed individually; the sides are identical
 //! except `MaintConfig` and the presence of the background pump.
 //!

@@ -626,19 +626,8 @@ impl ArenaInner {
         }
     }
 
-    /// Maintenance-core counters for snapshots: mailbox flow plus the
-    /// epoch-batched drain counters summed over every global shard.
+    /// Maintenance-core counters for snapshots: the mailbox flow.
     pub(crate) fn maint_counts(&self) -> MaintCounts {
-        let (batch_drains, batched_chains) =
-            self.globals
-                .iter()
-                .fold((0u64, 0u64), |(drains, chains), pool| {
-                    let stats = pool.stats();
-                    (
-                        drains + stats.batch_drains.get(),
-                        chains + stats.batched_chains.get(),
-                    )
-                });
         let (posted, deduped, drained, backlog) = match &self.maint {
             Some(m) => (
                 m.mailbox.posted(),
@@ -654,8 +643,6 @@ impl ArenaInner {
             deduped,
             drained,
             backlog,
-            batch_drains,
-            batched_chains,
         }
     }
 
@@ -1094,15 +1081,14 @@ impl CpuHandle {
     fn take_chain(&self, class: usize, target: usize) -> Option<Chain> {
         let inner = &*self.inner;
         let slot = self.slot();
-        // The shard consults `faults::GLOBAL_GET` itself, on both its CAS
-        // fast path and its locked slow path.
+        // The shard consults `faults::GLOBAL_GET` itself, once per get.
         if let Some(chain) = inner.shard(class, self.node).get_chain() {
             slot.local_refills.bump();
             return Some(chain);
         }
         // Work-stealing overflow: pick the remote shard with the most
-        // blocks (a racy read — the steal itself is a single tag-CAS, so a
-        // stale choice costs at worst one extra miss, never correctness)
+        // blocks (a racy read — the steal takes the victim's lock itself, so
+        // a stale choice costs at worst one extra miss, never correctness)
         // and take one whole target-sized chain from it.
         if inner.nnodes() > 1 && !inner.faults.hit(faults::GLOBAL_STEAL) {
             let shards = inner.shards(class);

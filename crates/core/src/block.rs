@@ -32,8 +32,8 @@
 //! These are exactly the conditions under which the kernel scribbles
 //! freelist links into memory.
 
-/// Minimum block size: the link word plus the word beside it (the poison,
-/// the global stack's stash, or a jump pointer).
+/// Minimum block size: the link word plus the word beside it (the poison
+/// or a jump pointer).
 pub const MIN_BLOCK: usize = 16;
 
 /// Poison value written into the second word of freed blocks (all builds
@@ -130,97 +130,6 @@ pub unsafe fn write_next(block: *mut u8, next: *mut u8, key: LinkKey) {
     // SAFETY: per the function contract, offset 0 of `block` is writable
     // and owned by the allocator.
     unsafe { (block as *mut usize).write(next as usize ^ key.mask(block as usize)) };
-}
-
-/// Atomically reads the next-free-block link from a free block.
-///
-/// The lock-free global stack threads its stack links through the first
-/// word of chain-head blocks. A popping CPU reads that word *before* its
-/// tag CAS confirms ownership, so a racing thread may read the word of a
-/// block that was just popped by someone else (and is even being handed
-/// to a user). The read therefore must be atomic: the value may be
-/// stale garbage, but the access itself is a relaxed-class load that
-/// cannot fault (the arena reservation is type-stable), and the stale
-/// value is discarded when the generation-tag CAS fails.
-///
-/// # Safety
-///
-/// `block` must point into the arena reservation and be at least
-/// [`MIN_BLOCK`] bytes; unlike [`read_next`], the caller need *not* own
-/// it — a stale read returns garbage rather than UB-free data, and the
-/// caller must validate ownership (tag CAS) before trusting the value.
-#[inline]
-pub unsafe fn read_next_atomic(block: *mut u8, key: LinkKey) -> *mut u8 {
-    use core::sync::atomic::{AtomicUsize, Ordering};
-    // SAFETY: per the function contract, the first word of `block` is
-    // mapped, aligned memory inside the reservation.
-    let raw = unsafe { (*(block as *const AtomicUsize)).load(Ordering::Acquire) };
-    (raw ^ key.mask(block as usize)) as *mut u8
-}
-
-/// Atomically writes the next-free-block link into a free block the
-/// caller owns.
-///
-/// Counterpart of [`read_next_atomic`]: any block that is (or recently
-/// was) the head of the lock-free global stack may still be speculatively
-/// loaded by CPUs spinning in a pop, so its link word is only ever
-/// written atomically while that window is open.
-///
-/// # Safety
-///
-/// `block` must satisfy the module-level free-block conditions.
-#[inline]
-pub unsafe fn write_next_atomic(block: *mut u8, next: *mut u8, key: LinkKey) {
-    use core::sync::atomic::{AtomicUsize, Ordering};
-    let encoded = next as usize ^ key.mask(block as usize);
-    // SAFETY: per the function contract, offset 0 of `block` is writable
-    // and owned by the caller.
-    unsafe { (*(block as *const AtomicUsize)).store(encoded, Ordering::Release) };
-}
-
-/// Stashes a pointer in the *second* word of a free block (the word the
-/// poison normally occupies), encoded under the second word's own mask.
-///
-/// The lock-free global stack keeps whole chains intact on the stack:
-/// the head block's first word becomes the stack link, so the displaced
-/// intra-chain link moves into the head's second word, and the chain's
-/// tail pointer into the second block's second word. [`take_stash`]
-/// reverses the theft and restores the poison.
-///
-/// # Safety
-///
-/// `block` must satisfy the module-level free-block conditions, and the
-/// caller must restore the word via [`take_stash`] before the block can
-/// reach an alloc-time poison check.
-#[inline]
-pub unsafe fn write_stash(block: *mut u8, val: *mut u8, key: LinkKey) {
-    // SAFETY: blocks are at least [`MIN_BLOCK`] bytes, so the second
-    // word is in bounds and allocator-owned.
-    let word = unsafe { (block as *mut usize).add(1) };
-    // SAFETY: as above.
-    unsafe { word.write(val as usize ^ key.mask(word as usize)) };
-}
-
-/// Reads back a pointer stashed by [`write_stash`] and re-poisons the
-/// word, so the free-poison invariant holds again by the time the block
-/// leaves the global stack. (The restore is unconditional: it is off the
-/// per-op fast path — two stores per chain refill — and keeping it
-/// profile-independent means the hardened verify-on-alloc never has to
-/// special-case stack-traversed blocks.)
-///
-/// # Safety
-///
-/// `block` must satisfy the module-level free-block conditions and carry
-/// a value written by [`write_stash`] under the same key.
-#[inline]
-pub unsafe fn take_stash(block: *mut u8, key: LinkKey) -> *mut u8 {
-    // SAFETY: as in `write_stash`.
-    let word = unsafe { (block as *mut usize).add(1) };
-    // SAFETY: as in `write_stash`.
-    let val = unsafe { word.read() } ^ key.mask(word as usize);
-    // SAFETY: as in `write_stash`.
-    unsafe { word.write(POISON) };
-    val as *mut u8
 }
 
 /// Whether word 1 of a block on a plain per-CPU freelist carries a jump
@@ -506,58 +415,6 @@ mod tests {
             poison_free(pa, 32);
             clear_poison_word(pa);
             assert!(!is_free_poisoned(pa));
-        }
-    }
-
-    #[test]
-    fn stash_round_trip_restores_poison() {
-        let mut a = block();
-        let mut b = block();
-        let pa = a.as_mut_ptr();
-        let pb = b.as_mut_ptr();
-        // SAFETY: both point to 32 owned, writable bytes.
-        unsafe {
-            poison(pa);
-            write_stash(pa, pb, LinkKey::PLAIN);
-            assert_eq!(take_stash(pa, LinkKey::PLAIN), pb);
-            // Poison is back: the alloc-time check passes.
-            check_and_clear_poison_on_alloc(pa);
-        }
-    }
-
-    #[test]
-    fn keyed_stash_round_trip_restores_poison() {
-        let mut a = block();
-        let mut b = block();
-        let pa = a.as_mut_ptr();
-        let pb = b.as_mut_ptr();
-        let key = key_for(&[pa, pb]);
-        // SAFETY: both point to 32 owned, writable bytes.
-        unsafe {
-            poison_free(pa, 32);
-            write_stash(pa, pb, key);
-            // The stashed word is encoded, not the bare pointer.
-            assert_ne!((pa as *const usize).add(1).read(), pb as usize);
-            assert_eq!(take_stash(pa, key), pb);
-            // The unconditional restore re-arms the poison in all builds.
-            assert!(is_free_poisoned(pa));
-        }
-    }
-
-    #[test]
-    fn atomic_link_round_trip() {
-        let mut a = block();
-        let mut b = block();
-        let pa = a.as_mut_ptr();
-        let pb = b.as_mut_ptr();
-        let key = key_for(&[pa, pb]);
-        for k in [LinkKey::PLAIN, key] {
-            // SAFETY: `pa` points to 32 owned, writable bytes.
-            unsafe { write_next_atomic(pa, pb, k) };
-            // SAFETY: link was just written; mixed atomic/plain access to
-            // the same word is fine from a single thread.
-            assert_eq!(unsafe { read_next_atomic(pa, k) }, pb);
-            assert_eq!(unsafe { read_next(pa, k) }, pb);
         }
     }
 

@@ -317,9 +317,9 @@ impl Chain {
     }
 
     /// Decomposes the chain into `(head, tail, len)` raw parts without
-    /// running the leak detector — the lock-free global stack threads the
-    /// blocks through itself and rebuilds the chain with
-    /// [`Chain::from_raw`] on pop.
+    /// running the leak detector — the global layer keeps a ready chain as
+    /// its `(head, tail)` pair and rebuilds it with [`Chain::from_raw`]
+    /// when a get takes it.
     pub(crate) fn into_raw(mut self) -> (*mut u8, *mut u8, usize) {
         let parts = (self.head, self.tail, self.len);
         self.forget();
@@ -332,8 +332,7 @@ impl Chain {
     ///
     /// `(head, tail, len)` must describe a well-formed chain the caller
     /// owns: `len` blocks linked head-to-tail under `key` with a null
-    /// final link — e.g. parts from [`Chain::into_raw`] whose links were
-    /// restored.
+    /// final link — e.g. parts from [`Chain::into_raw`].
     pub(crate) unsafe fn from_raw(head: *mut u8, tail: *mut u8, len: usize, key: LinkKey) -> Chain {
         debug_assert!(!head.is_null() && !tail.is_null() && len > 0);
         Chain {

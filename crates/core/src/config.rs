@@ -56,7 +56,7 @@ impl ClassConfig {
 /// [`HardenedConfig::full`] turns them all on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HardenedConfig {
-    /// XOR-encode every intrusive `next`/stash word with
+    /// XOR-encode every intrusive `next` word with
     /// `secret ^ word_address`, so a decoded clobber is implausible and
     /// detected rather than dereferenced.
     pub encode: bool,
@@ -141,8 +141,8 @@ impl Default for HardenedConfig {
 /// enabled ([`MaintConfig::on`]), hot CPUs instead post work items to a
 /// wait-free deduplicated mailbox ([`kmem_smp::Mailbox`]) and a
 /// maintenance thread — or an explicit [`crate::KmemArena::maint_poll`]
-/// pump in deterministic tests — owns the locked slow path alone,
-/// draining the global stacks through the epoch-batched multi-chain pop.
+/// pump in deterministic tests — owns the global layer's settles and
+/// spills alone.
 ///
 /// The payoff is *tail* latency: the mean cost of a threshold crossing
 /// barely moves, but no application CPU ever pays the regroup/trim walk

@@ -10,12 +10,11 @@
 //!    with a *split freelist* (`main`/`aux`, each bounded by `target`).
 //!    No locks; the only "synchronization" is the non-reentrancy that
 //!    interrupt disabling provides in a kernel.
-//! 2. **Global layer** ([`global`]) — per size class, ready `target`-sized
-//!    chains kept on a lock-free Treiber stack (get = one tag-CAS pop,
-//!    put = one tag-CAS push), plus a spinlocked bucket list that regroups
-//!    odd chains; bounded by `2 * gbltarget` blocks, enforced exactly on
-//!    the slow path and approximately (per-CPU transient overshoot) on the
-//!    fast path.
+//! 2. **Global layer** ([`global`]) — per size class (and node), one
+//!    spinlocked pool: an array of ready `target`-sized chains (the
+//!    paper's `gblfree` list) plus a bucket list that regroups odd chains,
+//!    with an exact block count; a settle trims it to `2 * gbltarget`
+//!    blocks.
 //! 3. **Coalesce-to-page layer** ([`pagelayer`]) — per-page freelists and
 //!    free counts; pages radix-sorted by free count so the fullest pages
 //!    are allocated from first; a fully free page returns its physical

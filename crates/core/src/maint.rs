@@ -28,7 +28,7 @@ use kmem_smp::Mailbox;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintWork {
     /// Settle shard `(class, node)`: regroup its bucket list into
-    /// `target`-sized stack chains and trim it to `2 * gbltarget` — the
+    /// `target`-sized ready chains and trim it to `2 * gbltarget` — the
     /// half of a put that [`crate::global::GlobalPool::put`] reports owed.
     Settle { class: usize, node: usize },
     /// Pressure-ladder spill of shard `(class, node)` down to

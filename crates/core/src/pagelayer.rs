@@ -594,22 +594,6 @@ mod tests {
         n
     }
 
-    /// One letter per probe event: `L`ock acquire, `u`nlock, `r`ead,
-    /// `w`rite, interlocked `m`odify.
-    fn steps(events: &[ProbeEvent]) -> String {
-        events
-            .iter()
-            .map(|e| match e {
-                ProbeEvent::LockAcquire { .. } => 'L',
-                ProbeEvent::LockRelease { .. } => 'u',
-                ProbeEvent::LineRead { .. } => 'r',
-                ProbeEvent::LineWrite { .. } => 'w',
-                ProbeEvent::LineRmw { .. } => 'm',
-                ProbeEvent::Work { .. } => '.',
-            })
-            .collect()
-    }
-
     #[test]
     fn locked_words_share_no_line_with_the_read_mostly_ones() {
         use core::mem::{offset_of, size_of};
@@ -857,7 +841,7 @@ mod tests {
                         &ProbeEvent::LockRelease { lock }
                     ],
                     "{}",
-                    steps(&events)
+                    probe::steps(&events)
                 );
             }
         }
@@ -884,7 +868,7 @@ mod tests {
                 unsafe { layer.free_chain(&vm, chain) };
             }
             assert_eq!(layer.usage(), (0, 0));
-            steps(&events)
+            probe::steps(&events)
         };
         let (small, large) = (refill(16), refill(512));
         assert_eq!(small, large, "16-B and 512-B refills must step alike");
@@ -928,7 +912,7 @@ mod tests {
             // SAFETY: as above.
             unsafe { layer.free_chain(&vm, rest) };
             assert_eq!(layer.usage(), (0, 0));
-            steps(&events)
+            probe::steps(&events)
         };
         let (two, many) = (drain(2), drain(64));
         assert_eq!(two, many, "a drain must not walk the pages above its own");

@@ -210,8 +210,7 @@ counters! {
 }
 
 counters! {
-    /// Maintenance-core counters: mailbox flow plus the epoch-batched
-    /// drain totals summed over every global shard. All zeros (with
+    /// Maintenance-core counters: the mailbox flow. All zeros (with
     /// `enabled: false`) when the arena runs without the core
     /// ([`crate::config::MaintConfig`]).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -228,11 +227,6 @@ counters! {
         counter drained: u64,
         /// Work items currently queued (racy while posters are active).
         gauge backlog: usize,
-        /// Epoch-batched stack detaches across all global shards — each is
-        /// one tagged CAS, however many chains it moved.
-        counter batch_drains: u64,
-        /// Chains moved by those batched detaches.
-        counter batched_chains: u64,
     }
 }
 
@@ -321,7 +315,7 @@ counters! {
         counter encode_faults: u64 => "hardened"."encode_faults",
         /// Blocks currently parked in double-free quarantine rings.
         gauge quarantine_len: usize => "hardened"."quarantine_len",
-        /// Maintenance-core mailbox and batched-drain counters.
+        /// Maintenance-core mailbox counters.
         nested maint: MaintCounts,
     }
 }
@@ -613,7 +607,7 @@ mod tests {
         ));
         assert!(json.contains(
             "\"maint\":{\"enabled\":false,\"posted\":0,\"deduped\":0,\"drained\":0,\
-             \"backlog\":0,\"batch_drains\":0,\"batched_chains\":0}"
+             \"backlog\":0}"
         ));
         assert!(json.contains("\"sleep_retries\":0"));
         assert!(json.contains("\"pressure_spills\":0"));
@@ -736,8 +730,6 @@ mod tests {
                 deduped: s.next(),
                 drained: s.next(),
                 backlog: s.next() as usize,
-                batch_drains: s.next(),
-                batched_chains: s.next(),
             },
         }
     }
@@ -789,8 +781,7 @@ mod tests {
              \"deescalations\":152,\"reapplied\":153},\"faults\":{\"hits\":154,\
              \"fired\":155},\"hardened\":{\"corruption_reports\":156,\"poison_hits\":157,\
              \"encode_faults\":158,\"quarantine_len\":159},\"maint\":{\"enabled\":true,\
-             \"posted\":160,\"deduped\":161,\"drained\":162,\"backlog\":163,\
-             \"batch_drains\":164,\"batched_chains\":165}}"
+             \"posted\":160,\"deduped\":161,\"drained\":162,\"backlog\":163}}"
         );
     }
 
@@ -828,8 +819,8 @@ mod tests {
         let base_json = base.to_json();
         assert!(!base_json.contains("201"));
         let base_cells = cells(&base);
-        // The fixture numbers 165 cells; the `enabled` flag is the 166th.
-        assert_eq!(base_cells.len(), 166);
+        // The fixture numbers 163 cells; the `enabled` flag is the 164th.
+        assert_eq!(base_cells.len(), 164);
         for (k, (what, kind, was)) in base_cells.iter().enumerate() {
             // A flag cannot be raised; it (and the one gauge that reads
             // 1) is lowered instead.
@@ -861,7 +852,7 @@ mod tests {
         }
         // Spot-check the paths the errors carry.
         assert_eq!(base_cells[3].0, "classes[0].per_cpu[0].alloc");
-        assert_eq!(base_cells[165].0, "maint.batched_chains");
+        assert_eq!(base_cells[163].0, "maint.backlog");
     }
 
     #[test]

@@ -15,10 +15,9 @@ use crate::arena::KmemArena;
 ///   physical-frame accounting exact (see
 ///   [`crate::vmblklayer::VmblkLayer::verify`]);
 /// * global layer: every pool within `2 * gbltarget + ncpus * target`
-///   blocks — the exact bound plus the worst-case transient overshoot of
-///   the lock-free fast path, which checks the cached block count
-///   *before* pushing, so each CPU can land at most one extra in-flight
-///   chain past the bound (DESIGN.md §9);
+///   blocks. The pool's count is exact, but a put over the bound lands
+///   its chain and leaves the trim to the settle it owes, so each CPU can
+///   land one over-bound put before that settle runs (DESIGN.md §9);
 /// * page layer: every listed page sits in the bucket of its free count,
 ///   which matches its freelist length and lies within
 ///   `1..=blocks_per_page` (a full page stays listed only while a fault

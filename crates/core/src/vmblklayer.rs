@@ -1199,22 +1199,6 @@ mod tests {
         assert_eq!(l.space().phys().in_use(), 0);
     }
 
-    /// One letter per shared-memory event: `L`ock acquire, `u`nlock,
-    /// interlocked `m`odify, `r`ead, `w`rite.
-    fn event_string(events: &[ProbeEvent]) -> String {
-        events
-            .iter()
-            .map(|e| match e {
-                ProbeEvent::LockAcquire { .. } => 'L',
-                ProbeEvent::LockRelease { .. } => 'u',
-                ProbeEvent::LineRmw { .. } => 'm',
-                ProbeEvent::LineRead { .. } => 'r',
-                ProbeEvent::LineWrite { .. } => 'w',
-                ProbeEvent::Work { .. } => '.',
-            })
-            .collect()
-    }
-
     /// Interlocked operations in an event string: each lock acquisition
     /// and each read-modify-write is one.
     fn interlocked(events: &str) -> usize {
@@ -1240,14 +1224,14 @@ mod tests {
                 // SAFETY: block just allocated, unreferenced.
                 unsafe { l.free_large(p) };
             });
-            event_string(&events)
+            probe::steps(&events)
         };
         let ((), events) = probe::record(|| {
             let (p, _) = l.alloc_span(1).unwrap();
             // SAFETY: span just allocated, unreferenced.
             unsafe { l.free_span(p, 1) };
         });
-        let page = event_string(&events);
+        let page = probe::steps(&events);
 
         let two = large_pair(2);
         assert_eq!(two, large_pair(64), "steps depend on span length");

@@ -1,12 +1,12 @@
-//! Lock-free tagged-pointer atomics for intrusive Treiber stacks.
+//! Lock-free tagged-pointer atomics.
 //!
-//! The global layer's chain hand-off is a pure LIFO: a CPU pushes an
-//! intact `target`-sized chain, another CPU pops one. A Treiber stack
-//! makes both operations a single compare-and-swap on one word — but a
-//! bare pointer CAS is unsound for pop: between loading the head `A` and
-//! the CAS, `A` can be popped, recycled, and pushed again with a
-//! different successor (the ABA problem), and the CAS would splice a
-//! stale next pointer into the stack.
+//! A Treiber stack makes push and pop a single compare-and-swap on one
+//! word — but a bare pointer CAS is unsound for pop: between loading the
+//! head `A` and the CAS, `A` can be popped, recycled, and pushed again
+//! with a different successor (the ABA problem), and the CAS would splice
+//! a stale next pointer into the stack. The maintenance mailbox
+//! ([`crate::mailbox`]) takes its tickets from the same word with
+//! [`TaggedAtomic::fetch_count_add`].
 //!
 //! [`TaggedAtomic`] defeats ABA the classic way (IBM System/370 free-list
 //! technique): the head word packs a 48-bit pointer with a 16-bit
@@ -15,9 +15,7 @@
 //! its CAS on the tag alone and retries with fresh state. Sixteen bits
 //! of generation would need to wrap *exactly* between one thread's load
 //! and its CAS — 65 536 complete stack operations inside one
-//! load-to-CAS window — for a false match, which the bounded size of the
-//! global pool (at most `2 * gbltarget` blocks plus one in-flight chain
-//! per CPU) makes unreachable in practice.
+//! load-to-CAS window — for a false match.
 //!
 //! The primitive emits [`probe`] events ([`ProbeEvent::LineRead`] on
 //! load, [`ProbeEvent::LineRmw`] on each CAS or fetch-add attempt) so the

@@ -18,8 +18,8 @@
 //! * Relaxed-atomic event counters for layer hit/miss statistics
 //!   ([`counter::EventCounter`]).
 //! * A generation-counted tagged-pointer atomic
-//!   ([`atomics::TaggedAtomic`]) — the ABA-safe head word for the
-//!   lock-free Treiber stacks used by the allocator's global layer.
+//!   ([`atomics::TaggedAtomic`]) — the ABA-safe ticket word of the
+//!   mailbox below.
 //! * A bounded, deduplicated, wait-free MPSC mailbox
 //!   ([`mailbox::Mailbox`]) through which hot CPUs hand slow-path chores
 //!   to a maintenance core instead of running them inline.

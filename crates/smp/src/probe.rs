@@ -93,6 +93,22 @@ pub fn record<R>(f: impl FnOnce() -> R) -> (R, Vec<ProbeEvent>) {
     (r, ev)
 }
 
+/// One letter per event, for tests that pin a path's steps: `L`ock
+/// acquire, `u`nlock, `r`ead, `w`rite, interlocked `m`odify, `.` work.
+pub fn steps(events: &[ProbeEvent]) -> String {
+    events
+        .iter()
+        .map(|e| match e {
+            ProbeEvent::LockAcquire { .. } => 'L',
+            ProbeEvent::LockRelease { .. } => 'u',
+            ProbeEvent::LineRead { .. } => 'r',
+            ProbeEvent::LineWrite { .. } => 'w',
+            ProbeEvent::LineRmw { .. } => 'm',
+            ProbeEvent::Work { .. } => '.',
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -451,7 +451,7 @@ fn worker(
             // Leader-only live sampling: a sweep taken while every other
             // thread keeps running must still satisfy the live-sample
             // bounds — including the fast/slow partitions of the global
-            // layer's lock-free paths (`get_fast + get_slow <= get`).
+            // layer (`get_fast + get_slow <= get`).
             if leader && report.ops.is_multiple_of(1024) {
                 arena
                     .snapshot()

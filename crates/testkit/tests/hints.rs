@@ -212,8 +212,7 @@ fn a_hardened_free_block_still_carries_its_poison() {
     let arena = KmemArena::new(config).unwrap();
     let cpu = arena.register_cpu().unwrap();
     let cookie = arena.cookie_for(256).unwrap();
-    // Few enough to stay in the quarantine ring and the per-CPU cache: on
-    // the global stack a chain's first two blocks lend that word out.
+    // Few enough to stay in the quarantine ring and the per-CPU cache.
     let target = arena.snapshot().classes[cookie.class_index()].target;
     let blocks: Vec<_> = (0..2 * target)
         .map(|_| cpu.alloc_cookie(cookie).unwrap())

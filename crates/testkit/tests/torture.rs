@@ -163,9 +163,10 @@ fn fault_injection_torture_covers_every_site() {
             .unwrap_or_else(|| panic!("site {site} never consulted"));
         assert!(s.fired > 0, "site {site} armed but never fired: {s:?}");
     }
-    // The lock-free rework split every global access into a CAS fast path
-    // and a locked slow path; the injected-fault mix must have driven both
-    // directions down both, or the fault audit lost coverage.
+    // Every global access is fast (a ready chain taken or landed within
+    // the bound) or slow (bucket, miss, fault, over-bound put); the
+    // injected-fault mix must have driven both directions down both, or
+    // the fault audit lost coverage.
     let snap = arena.snapshot();
     let (mut gf, mut gs, mut pf, mut ps) = (0u64, 0u64, 0u64, 0u64);
     for cs in &snap.classes {
@@ -174,10 +175,10 @@ fn fault_injection_torture_covers_every_site() {
         pf += cs.global.put_fast;
         ps += cs.global.put_slow;
     }
-    assert!(gf > 0, "no get ever took the lock-free fast path: {snap:?}");
-    assert!(gs > 0, "no get ever took the locked slow path: {snap:?}");
-    assert!(pf > 0, "no put ever took the lock-free fast path: {snap:?}");
-    assert!(ps > 0, "no put ever took the locked slow path: {snap:?}");
+    assert!(gf > 0, "no get ever took a ready chain: {snap:?}");
+    assert!(gs > 0, "no get ever took the slow path: {snap:?}");
+    assert!(pf > 0, "no put ever landed within the bound: {snap:?}");
+    assert!(ps > 0, "no put ever took the slow path: {snap:?}");
 
     arena.reclaim();
     verify_empty(&arena);

@@ -23,8 +23,7 @@
 //! regroups, spills, and pressure drain-requests route through the
 //! lock-free mailbox to a maintenance thread that runs for the whole
 //! sweep; the closing maintenance table shows posted / deduplicated /
-//! drained work items, the residual backlog, and the epoch-batched
-//! drain counters.
+//! drained work items and the residual backlog.
 //!
 //! `--nodes N` shards the arena over N NUMA nodes (block CPU mapping) and
 //! the closing per-node table shows how the shards behaved: blocks parked
@@ -296,11 +295,11 @@ fn main() {
         if m.enabled { "on" } else { "off" }
     );
     println!(
-        "{:>10} {:>10} {:>10} {:>9} {:>12} {:>14}",
-        "posted", "deduped", "drained", "backlog", "batch-drains", "batched-chains"
+        "{:>10} {:>10} {:>10} {:>9}",
+        "posted", "deduped", "drained", "backlog"
     );
     println!(
-        "{:>10} {:>10} {:>10} {:>9} {:>12} {:>14}",
-        m.posted, m.deduped, m.drained, m.backlog, m.batch_drains, m.batched_chains
+        "{:>10} {:>10} {:>10} {:>9}",
+        m.posted, m.deduped, m.drained, m.backlog
     );
 }

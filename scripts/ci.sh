@@ -72,10 +72,11 @@ for i in 1 2 3; do
 done
 
 echo "==> global-layer contention regression (thread sweep, faults on)"
-# The lock-free stack / locked-bucket seam under real threads: put_odd
-# storms against racing gets, with the global.get failpoint armed so
-# injected misses interleave with contention. Conservation and regrouping
-# are asserted inside the tests.
+# One lock per pool over its ready chains and bucket, under real threads:
+# put_odd storms against racing gets, with the global.get failpoint armed
+# so injected misses interleave with contention. Conservation, regrouping
+# and an exact ping-pong that never leaves the fast path are asserted
+# inside the tests.
 for t in 2 4 8; do
     echo "    KMEM_GLOBAL_THREADS=$t"
     KMEM_TORTURE_FAULTS=1 KMEM_GLOBAL_THREADS="$t" \
