@@ -14,14 +14,11 @@
 //!
 //! This crate implements (3) and (4) from their sources and defines the
 //! [`KernelAllocator`] trait that lets benches and tests drive all four
-//! through one interface ([`adapters`] wraps the `kmem` arena). [`spin`]
-//! holds the fake-block helpers that drive a global pool without an
-//! arena.
+//! through one interface ([`adapters`] wraps the `kmem` arena).
 
 pub mod adapters;
 pub mod mk;
 pub mod oldkma;
-pub mod spin;
 
 pub use adapters::{KmemCookieAlloc, KmemStdAlloc};
 pub use mk::MkAllocator;

@@ -22,8 +22,8 @@ use std::time::Instant;
 
 use kmem::global::GlobalPool;
 use kmem::{HardenedConfig, KmemConfig};
-use kmem_baselines::spin::{backing, chain, discard};
 use kmem_bench::{arena_contended_pair_ns, BenchReport};
+use kmem_testkit::fake::{backing, chain, discard};
 
 const TARGET: usize = 4;
 const OPS_PER_THREAD: usize = 100_000;

@@ -22,7 +22,7 @@ use crate::chain::Chain;
 use crate::config::{HardenedConfig, KmemConfig};
 use crate::cookie::Cookie;
 use crate::error::{AllocError, CorruptionSite};
-use crate::global::GlobalPool;
+use crate::global::{GlobalPool, Miss};
 use crate::maint::{MaintKeys, MaintState, MaintWork};
 use crate::pagedesc::PdKind;
 use crate::pagelayer::PageLayer;
@@ -223,7 +223,8 @@ impl KmemArena {
         let mut globals = Vec::with_capacity(config.classes.len() * nnodes);
         for c in &config.classes {
             for _ in 0..nnodes {
-                globals.push(CachePadded::new(GlobalPool::new_hardened(
+                globals.push(CachePadded::new(GlobalPool::sized(
+                    c.size,
                     c.target,
                     c.gbltarget,
                     faults.clone(),
@@ -431,6 +432,12 @@ impl KmemArena {
                     size: cfg.size,
                     target: cfg.target,
                     gbltarget: cfg.gbltarget,
+                    global_bound: inner
+                        .shards(idx)
+                        .iter()
+                        .map(|pool| pool.bound())
+                        .max()
+                        .unwrap_or(0),
                     per_cpu: inner
                         .slots
                         .collect(|_, slot| CacheCounts::read(&slot.classes[idx].stats)),
@@ -1081,16 +1088,23 @@ impl CpuHandle {
     fn take_chain(&self, class: usize, target: usize) -> Option<Chain> {
         let inner = &*self.inner;
         let slot = self.slot();
-        // The shard consults `faults::GLOBAL_GET` itself, once per get.
-        if let Some(chain) = inner.shard(class, self.node).get_chain() {
-            slot.local_refills.bump();
-            return Some(chain);
-        }
+        let local = inner.shard(class, self.node);
+        // The shard consults `faults::GLOBAL_GET` itself, once per get. An
+        // empty shard grows its bound at the miss only where no steal can
+        // follow; with remote shards the growth waits for the page layer.
+        let stealing = inner.nnodes() > 1;
+        let miss = match local.get(!stealing) {
+            Ok(chain) => {
+                slot.local_refills.bump();
+                return Some(chain);
+            }
+            Err(miss) => miss,
+        };
         // Work-stealing overflow: pick the remote shard with the most
         // blocks (a racy read — the steal takes the victim's lock itself, so
         // a stale choice costs at worst one extra miss, never correctness)
         // and take one whole target-sized chain from it.
-        if inner.nnodes() > 1 && !inner.faults.hit(faults::GLOBAL_STEAL) {
+        if stealing && !inner.faults.hit(faults::GLOBAL_STEAL) {
             let shards = inner.shards(class);
             let victim = shards
                 .iter()
@@ -1105,6 +1119,9 @@ impl CpuHandle {
                     return Some(chain);
                 }
             }
+        }
+        if stealing && miss == Miss::Empty {
+            local.grow_after_miss();
         }
         // The page layer consults `faults::PAGE_GET` on both its listed-page
         // path and its fresh-page path.
@@ -1600,6 +1617,48 @@ mod tests {
         unsafe { core::ptr::write_bytes(p.as_ptr(), 0xa5, 64) };
         // SAFETY: allocated above, freed once.
         unsafe { cpu.free(p) };
+        verify_arena(&a);
+    }
+
+    /// A shard grown past `2 * gbltarget` is held to its own bound: the
+    /// walker passes it there and still catches it over-full.
+    #[test]
+    #[should_panic(expected = "global pool holds")]
+    fn an_over_full_grown_shard_trips_the_walker() {
+        let a = arena();
+        let cpu = a.register_cpu().unwrap();
+        let class = a.inner().classes().class_for(64).unwrap();
+        let pool = a.inner().shard(class, NodeId::new(0));
+        let target = pool.target();
+        // Every block first, so no refill draws on the shard below.
+        let mut held: Vec<*mut u8> = (0..20 * pool.gbltarget())
+            .map(|_| cpu.alloc(64).unwrap().as_ptr())
+            .collect();
+        let mut chain = || {
+            let mut c = Chain::new();
+            for p in held.drain(..target) {
+                // SAFETY: allocated above; the chain owns it now.
+                unsafe { c.push(p) };
+            }
+            c
+        };
+        // Spill once, then miss: the bound doubles.
+        let mut spill = loop {
+            if let Some(spill) = pool.put_chain(chain()) {
+                break spill;
+            }
+        };
+        spill.forget();
+        while let Some(mut c) = pool.get_chain() {
+            c.forget();
+        }
+        assert_eq!(pool.bound(), 4 * pool.gbltarget());
+        while pool.len() < pool.bound() + a.ncpus() * target {
+            pool.put(chain());
+        }
+        verify_arena(&a);
+        // One chain past what the CPUs' owed settles can leave.
+        pool.put(chain());
         verify_arena(&a);
     }
 

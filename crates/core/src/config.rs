@@ -15,7 +15,8 @@ pub struct ClassConfig {
     /// layers in `target`-sized chains.
     pub target: usize,
     /// Global-layer bound: the global pool holds up to `2 * gbltarget`
-    /// blocks before spilling to the coalesce-to-page layer.
+    /// blocks before spilling to the coalesce-to-page layer, until churn
+    /// grows its bound (`kmem::global`).
     pub gbltarget: usize,
 }
 

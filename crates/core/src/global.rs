@@ -12,12 +12,12 @@
 //! two things:
 //!
 //! * `ready`, the paper's `gblfree` list: exact-`target` chains kept as
-//!   `(head, tail)` pairs in an array whose capacity is fixed at
-//!   construction. A get pops a pair and a put pushes one, so neither
-//!   reads or writes a block word under the lock; the chain is taken apart
-//!   before the lock and rebuilt after it. The array, not a list linked
-//!   through the head blocks, is what keeps a remote block's line out of
-//!   the critical section (DESIGN.md §9).
+//!   `(head, tail)` pairs in an array allocated once, at construction, for
+//!   the largest bound the pool may reach. A get pops a pair and a put
+//!   pushes one, so neither reads or writes a block word under the lock;
+//!   the chain is taken apart before the lock and rebuilt after it. The
+//!   array, not a list linked through the head blocks, is what keeps a
+//!   remote block's line out of the critical section (DESIGN.md §9).
 //! * the *bucket list*, an ordinary [`Chain`] that regroups odd-sized
 //!   chains (low-memory flushes, short refills handed back) and serves
 //!   short gets.
@@ -26,16 +26,42 @@
 //! policy is split in two halves so the caller chooses where the second
 //! runs: [`GlobalPool::put`] lands the chain and reports whether the pool
 //! owes a [`GlobalPool::settle`] — the regroup plus the trim to exactly
-//! `2 * gbltarget`. The arena settles inline or hands the settle to the
+//! the pool's *bound*. The arena settles inline or hands the settle to the
 //! maintenance core; [`GlobalPool::put_chain`] and [`GlobalPool::put_odd`]
 //! are the two halves back to back. Excess goes to the coalesce-to-page
 //! layer and an empty pool is replenished from it — both via return
 //! values, so the page layer is never entered with the pool locked.
+//!
+//! # The bound
+//!
+//! The paper caps a pool at `2 * gbltarget` blocks and names the trade:
+//! the global miss rate "may be reduced to any desired level simply by
+//! increasing the value of target. The only penalty is the increased
+//! amount of memory". A pool built for a block size
+//! ([`GlobalPool::sized`]) makes that trade per shard, under its lock and
+//! only on the slow paths that already hold it:
+//!
+//! * **Grow.** A settle that spills arms the pool; the next get that
+//!   misses doubles the bound and disarms it, up to a cap of
+//!   [`GROWTH_PAGES`] pages' worth of blocks. A miss the `global.get`
+//!   failpoint injected grows nothing, and neither does a steal.
+//! * **Shrink.** A settle that spills first looks at the fewest chains
+//!   `ready` held over a window that closes once gets have drawn half
+//!   the bound through the pool; above half the bound, that demand never
+//!   needed them, and the bound halves.
+//! * **Snap back.** [`GlobalPool::spill_to`] (pressure rung 2) and
+//!   [`GlobalPool::drain_all`] (rung 3, reclaim) reset the bound to
+//!   `2 * gbltarget` and disarm the pool.
+//!
+//! A pool at `2 * gbltarget` keeps and spills exactly the blocks of the
+//! paper's static pool. [`GlobalPool::new`] builds one whose cap *is*
+//! `2 * gbltarget`: the paper's pool, which never grows.
 
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
 
 use kmem_smp::{faults, CachePadded, Faults, LocalCounter, SpinLock, SpinLockGuard};
+use kmem_vm::PAGE_SIZE;
 
 use crate::block::LinkKey;
 use crate::chain::Chain;
@@ -90,6 +116,11 @@ pub struct GlobalStats {
     /// without contention). The name is kept from the lock-free stack this
     /// pool replaced, for readers of older snapshots.
     pub cas_retries: LocalCounter,
+    /// Doublings of the pool's bound: a miss after a spill.
+    pub bound_grows: LocalCounter,
+    /// Snap-backs of a grown bound to `2 * gbltarget` (`spill_to`,
+    /// `drain_all`).
+    pub bound_resets: LocalCounter,
 }
 
 impl GlobalStats {
@@ -154,6 +185,11 @@ counters! {
         /// Pool-lock acquisitions that found the lock held (monotone; zero
         /// without contention).
         counter cas_retries: u64,
+        /// Doublings of a shard's bound: a miss after a spill.
+        counter bound_grows: u64,
+        /// Snap-backs of a grown bound to `2 * gbltarget` under pressure or
+        /// reclaim.
+        counter bound_resets: u64,
     }
 }
 
@@ -184,6 +220,8 @@ impl GlobalCounts {
     /// slow-entry counters that bound them.
     pub(crate) fn read(s: &GlobalStats) -> GlobalCounts {
         let mut c = GlobalCounts {
+            bound_resets: s.bound_resets.get(),
+            bound_grows: s.bound_grows.get(),
             cas_retries: s.cas_retries.get(),
             spill_blocks: s.spill_blocks.get(),
             pressure_spills: s.pressure_spills.get(),
@@ -214,6 +252,13 @@ type Pair = (*mut u8, *mut u8);
 /// Pairs per 64-byte line of the `ready` array.
 const PAIRS_PER_LINE: usize = 4;
 
+/// How far the bound of a pool built for a block size may grow: this many
+/// pages' worth of its blocks (and never below `2 * gbltarget`). A
+/// constant of the page geometry — 128 KB per class and shard at most —
+/// not a knob. 64 pages bought `mix` no more speed than 32 for twice the
+/// frames over the static bound (EXPERIMENTS.md).
+pub const GROWTH_PAGES: usize = 32;
+
 /// One line of the `ready` array. Aligned, so the array shares no line
 /// with another allocation (another class's pool, say): the slots a get
 /// or put touches are this pool's alone.
@@ -221,21 +266,23 @@ const PAIRS_PER_LINE: usize = 4;
 #[repr(align(64))]
 struct Line([Pair; PAIRS_PER_LINE]);
 
-/// The ready chains, last in first out, in an array whose capacity is
-/// fixed at construction and never grows.
+/// The ready chains, last in first out, in an array allocated once, at
+/// construction, and never grown.
 struct Ready {
     len: usize,
-    cap: usize,
+    /// The low-water mark: the fewest chains `ready` held since the
+    /// pool's low-water window opened (`GlobalPool::settle`).
+    low: usize,
     lines: Box<[Line]>,
 }
 
 impl Ready {
-    fn with_capacity(cap: usize) -> Self {
+    fn with_capacity(chains: usize) -> Self {
         let empty = Line([(ptr::null_mut(), ptr::null_mut()); PAIRS_PER_LINE]);
         Ready {
             len: 0,
-            cap,
-            lines: vec![empty; cap.div_ceil(PAIRS_PER_LINE)].into_boxed_slice(),
+            low: 0,
+            lines: vec![empty; chains.div_ceil(PAIRS_PER_LINE)].into_boxed_slice(),
         }
     }
 
@@ -243,32 +290,39 @@ impl Ready {
         self.len
     }
 
-    fn is_full(&self) -> bool {
-        self.len == self.cap
-    }
-
     fn push(&mut self, pair: Pair) {
-        debug_assert!(!self.is_full(), "`ready` never grows");
+        debug_assert!(
+            self.len < self.lines.len() * PAIRS_PER_LINE,
+            "`ready` never grows"
+        );
         self.lines[self.len / PAIRS_PER_LINE].0[self.len % PAIRS_PER_LINE] = pair;
         self.len += 1;
     }
 
     fn pop(&mut self) -> Option<Pair> {
         self.len = self.len.checked_sub(1)?;
+        self.low = self.low.min(self.len);
         Some(self.lines[self.len / PAIRS_PER_LINE].0[self.len % PAIRS_PER_LINE])
     }
 }
 
-/// What the pool lock guards. The `ready` header comes first, so it
-/// shares a line with the lock word.
+/// What the pool lock guards. The `ready` header and the bound a put
+/// compares against come first, so they share a line with the lock word.
 #[repr(C)]
 struct Pool {
-    /// Ready exact-`target` chains. The capacity is `2 * gbltarget /
-    /// target + 1`: every chain within the bound plus one over it; an
-    /// exact chain that finds the array full goes to the bucket.
+    /// Ready exact-`target` chains: at most `bound / target + 1`, every
+    /// chain within the bound plus one over it; an exact chain that finds
+    /// `ready` that full goes to the bucket.
     ready: Ready,
+    /// The effective bound in blocks, from `2 * gbltarget` up to the
+    /// pool's cap.
+    bound: usize,
     /// Odd blocks awaiting regrouping, and the source of short gets.
     bucket: Chain,
+    /// Set by a settle that spills: the next miss grows the bound.
+    armed: bool,
+    /// [`GlobalPool::drawn`] when the low-water window opened.
+    window_opened: u64,
 }
 
 // SAFETY: the pool owns the free blocks its pairs and bucket link, as a
@@ -280,6 +334,20 @@ impl Pool {
     fn blocks(&self, target: usize) -> usize {
         self.ready.len() * target + self.bucket.len()
     }
+
+    /// Whether `ready` takes one more chain under the current bound.
+    fn ready_has_room(&self, target: usize) -> bool {
+        self.ready.len() < self.bound / target + 1
+    }
+}
+
+/// Why a get handed back no chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Miss {
+    /// The `global.get` failpoint fired.
+    Injected,
+    /// The pool held no block (or sank its bucket on a clobbered link).
+    Empty,
 }
 
 /// The pool lock, and the counters only its holder writes: the words a
@@ -295,6 +363,8 @@ struct Locked {
 pub struct GlobalPool {
     target: usize,
     gbltarget: usize,
+    /// The most blocks the bound may grow to.
+    cap: usize,
     /// Link-encoding key shared with every chain this pool handles (the
     /// arena's per-secret key under the hardened profile, identity
     /// otherwise). Steal targets share the arena key, so a stolen chain
@@ -310,27 +380,50 @@ pub struct GlobalPool {
 
 impl GlobalPool {
     /// Creates an empty pool with the class's `target` and `gbltarget`
-    /// (no failpoints, plain link encoding — the default profile).
+    /// (no failpoints, plain link encoding — the default profile). Its
+    /// bound stays at the paper's `2 * gbltarget`.
     pub fn new(target: usize, gbltarget: usize) -> Self {
         GlobalPool::new_hardened(target, gbltarget, Faults::none(), LinkKey::PLAIN)
     }
 
-    /// The full constructor: an empty pool wired to `faults` (the
-    /// `faults::GLOBAL_GET` site is consulted once per
-    /// [`GlobalPool::get_chain`]) whose bucket links are encoded under
-    /// `key`.
+    /// An empty pool wired to `faults` (the `faults::GLOBAL_GET` site is
+    /// consulted once per [`GlobalPool::get_chain`]) whose bucket links
+    /// are encoded under `key`. Its bound stays at the paper's
+    /// `2 * gbltarget`.
     pub fn new_hardened(target: usize, gbltarget: usize, faults: Faults, key: LinkKey) -> Self {
+        GlobalPool::build(target, gbltarget, 2 * gbltarget, faults, key)
+    }
+
+    /// The arena's constructor: [`GlobalPool::new_hardened`] for blocks of
+    /// `size` bytes, whose bound adapts (module docs) between
+    /// `2 * gbltarget` and [`GROWTH_PAGES`] pages' worth of blocks.
+    pub fn sized(
+        size: usize,
+        target: usize,
+        gbltarget: usize,
+        faults: Faults,
+        key: LinkKey,
+    ) -> Self {
+        let cap = (GROWTH_PAGES * PAGE_SIZE / size).max(2 * gbltarget);
+        GlobalPool::build(target, gbltarget, cap, faults, key)
+    }
+
+    fn build(target: usize, gbltarget: usize, cap: usize, faults: Faults, key: LinkKey) -> Self {
         assert!(target >= 1, "target-sized chains must hold a block");
         GlobalPool {
             target,
             gbltarget,
+            cap,
             key,
             faults,
             sunk: AtomicUsize::new(0),
             locked: CachePadded::new(Locked {
                 pool: SpinLock::new(Pool {
-                    ready: Ready::with_capacity(2 * gbltarget / target + 1),
+                    ready: Ready::with_capacity(cap / target + 1),
+                    bound: 2 * gbltarget,
                     bucket: Chain::new_keyed(key),
+                    armed: false,
+                    window_opened: 0,
                 }),
                 stats: GlobalStats::default(),
             }),
@@ -345,6 +438,18 @@ impl GlobalPool {
     /// This pool's `gbltarget`.
     pub fn gbltarget(&self) -> usize {
         self.gbltarget
+    }
+
+    /// The effective bound in blocks, between `2 * gbltarget` and
+    /// [`GlobalPool::cap`].
+    pub fn bound(&self) -> usize {
+        self.lock().bound
+    }
+
+    /// The most blocks the bound may grow to: `2 * gbltarget` for a pool
+    /// built without a block size.
+    pub fn cap(&self) -> usize {
+        self.cap
     }
 
     /// Statistics for this pool.
@@ -386,10 +491,20 @@ impl GlobalPool {
     /// blocks, counted in `get_short`/`get_short_deficit`.
     ///
     /// Returns `None` when the pool is empty — the caller then asks the
-    /// coalesce-to-page layer (the counted miss) — or when the
-    /// `faults::GLOBAL_GET` failpoint fires, which it is asked once per get
-    /// whatever would have served it.
+    /// coalesce-to-page layer (the counted miss, which grows an armed
+    /// bound) — or when the `faults::GLOBAL_GET` failpoint fires, which it
+    /// is asked once per get whatever would have served it.
     pub fn get_chain(&self) -> Option<Chain> {
+        self.get(true).ok()
+    }
+
+    /// [`GlobalPool::get_chain`], saying why it missed. With `grow` unset
+    /// an empty pool's miss leaves the bound alone: the caller may still
+    /// be served by a steal, and grows the bound itself
+    /// ([`GlobalPool::grow_after_miss`]) only if it goes on to the page
+    /// layer.
+    #[inline]
+    pub(crate) fn get(&self, grow: bool) -> Result<Chain, Miss> {
         let fault = self.faults.hit(faults::GLOBAL_GET);
         let mut pool = self.lock();
         if !fault {
@@ -397,18 +512,18 @@ impl GlobalPool {
                 self.locked.stats.get_fast.bump();
                 drop(pool);
                 // SAFETY: just popped off `ready`.
-                return Some(unsafe { self.ready_chain(pair) });
+                return Ok(unsafe { self.ready_chain(pair) });
             }
         }
-        self.get_slow(pool, fault)
+        self.get_slow(pool, fault, grow)
     }
 
     /// Work-stealing get against a *remote* node's shard: takes one ready
     /// `target`-sized chain under the victim's lock, but never serves from
-    /// the bucket — a thief takes only what is cheap to take. Counted as a
-    /// fast get so the `get = get_fast + get_slow` partition stays exact;
-    /// the *thief's* arena attributes the refill to stealing in its
-    /// per-node stats.
+    /// the bucket — a thief takes only what is cheap to take — and never
+    /// arms or grows either shard's bound. Counted as a fast get so the
+    /// `get = get_fast + get_slow` partition stays exact; the *thief's*
+    /// arena attributes the refill to stealing in its per-node stats.
     pub fn steal_chain(&self) -> Option<Chain> {
         let mut pool = self.lock();
         let pair = pool.ready.pop()?;
@@ -421,32 +536,73 @@ impl GlobalPool {
     /// The get with no ready chain to hand out (or a fault to inject):
     /// serve (possibly short) from the bucket list, or miss.
     #[cold]
-    fn get_slow(&self, mut pool: SpinLockGuard<'_, Pool>, fault: bool) -> Option<Chain> {
+    fn get_slow(
+        &self,
+        mut pool: SpinLockGuard<'_, Pool>,
+        fault: bool,
+        grow: bool,
+    ) -> Result<Chain, Miss> {
         let stats = &self.locked.stats;
         stats.get_slow.bump();
-        let n = pool.bucket.len().min(self.target);
-        if fault || n == 0 {
+        if fault {
             stats.get_miss.bump();
-            return None;
+            return Err(Miss::Injected);
         }
-        match pool.bucket.try_split_first(n) {
-            Ok(chain) => {
-                if n < self.target {
-                    stats.get_short_deficit.add((self.target - n) as u64);
-                    stats.get_short.bump();
+        let n = pool.bucket.len().min(self.target);
+        if n > 0 {
+            match pool.bucket.try_split_first(n) {
+                Ok(chain) => {
+                    if n < self.target {
+                        stats.get_short_deficit.add((self.target - n) as u64);
+                        stats.get_short.bump();
+                    }
+                    stats.get_bucket_hits.bump();
+                    return Ok(chain);
                 }
-                stats.get_bucket_hits.bump();
-                Some(chain)
-            }
-            Err(fault) => {
                 // A clobbered bucket link: the walk stopped before
                 // dereferencing it, the bucket sank its now-unreachable
                 // blocks, and this get becomes a miss the page layer will
                 // serve. The loss is recorded for the conservation check.
-                self.sunk.fetch_add(fault.lost, Ordering::Relaxed);
-                stats.get_miss.bump();
-                None
+                Err(fault) => {
+                    self.sunk.fetch_add(fault.lost, Ordering::Relaxed);
+                }
             }
+        }
+        stats.get_miss.bump();
+        if grow {
+            self.grow(&mut pool);
+        }
+        Err(Miss::Empty)
+    }
+
+    /// A miss after a spill: the blocks the spill shed were wanted back,
+    /// so the bound doubles (up to the cap) and the pool disarms.
+    fn grow(&self, pool: &mut Pool) {
+        if !core::mem::take(&mut pool.armed) {
+            return;
+        }
+        let bound = (2 * pool.bound).min(self.cap);
+        if bound > pool.bound {
+            pool.bound = bound;
+            self.locked.stats.bound_grows.bump();
+        }
+    }
+
+    /// Grows an armed bound for an empty-pool miss that
+    /// [`GlobalPool::get`] left to the caller, once no steal served it.
+    pub(crate) fn grow_after_miss(&self) {
+        let mut pool = self.lock();
+        self.grow(&mut pool);
+    }
+
+    /// Snaps a grown bound back to the paper's `2 * gbltarget`, disarms
+    /// the pool and opens a new low-water window.
+    fn reset(&self, pool: &mut Pool) {
+        pool.armed = false;
+        self.open_window(pool);
+        if pool.bound > 2 * self.gbltarget {
+            pool.bound = 2 * self.gbltarget;
+            self.locked.stats.bound_resets.bump();
         }
     }
 
@@ -454,10 +610,10 @@ impl GlobalPool {
     /// now owes a [`GlobalPool::settle`], which the caller runs inline or
     /// hands to the maintenance core.
     ///
-    /// * An exact-`target` chain within the `2 * gbltarget` bound lands on
-    ///   `ready`: nothing owed.
+    /// * An exact-`target` chain within the bound lands on `ready`:
+    ///   nothing owed.
     /// * An exact chain over the bound lands on `ready` too while the
-    ///   array has room (the bucket when it has none), counts as
+    ///   bound leaves it room (the bucket otherwise), counts as
     ///   `put_slow`, and owes the trim. Until the settle runs the pool may
     ///   hold one such chain per CPU beyond its bound.
     /// * A chain of any other length goes to the bucket list
@@ -469,9 +625,9 @@ impl GlobalPool {
         }
         let (head, tail, _) = chain.into_raw();
         let mut pool = self.lock();
-        if pool.blocks(self.target) + self.target <= 2 * self.gbltarget {
+        if pool.blocks(self.target) + self.target <= pool.bound {
             // Within the bound, so `ready` has room: its capacity covers
-            // every chain the bound admits, plus one.
+            // every chain the cap admits, plus one.
             pool.ready.push((head, tail));
             self.locked.stats.put_fast.bump();
             return false;
@@ -485,7 +641,7 @@ impl GlobalPool {
     #[cold]
     fn put_over(&self, mut pool: SpinLockGuard<'_, Pool>, head: *mut u8, tail: *mut u8) {
         self.locked.stats.put_slow.bump();
-        if !pool.ready.is_full() {
+        if pool.ready_has_room(self.target) {
             pool.ready.push((head, tail));
         } else {
             // SAFETY: the parts of the exact chain `put` took apart.
@@ -505,15 +661,52 @@ impl GlobalPool {
         self.locked.stats.put_slow.bump();
         self.locked.stats.put_odd.bump();
         pool.bucket.append(&mut chain);
-        pool.bucket.len() >= self.target || pool.blocks(self.target) > 2 * self.gbltarget
+        pool.bucket.len() >= self.target || pool.blocks(self.target) > pool.bound
     }
 
     /// The slow half of a put: regroup the bucket list, then trim the
-    /// pool to exactly `2 * gbltarget` blocks. Returns the spill for the
-    /// caller to push to the coalesce-to-page layer, counted in
-    /// `put_miss`. A settle that finds nothing owed changes nothing.
+    /// pool to exactly its bound. Returns the spill for the caller to push
+    /// to the coalesce-to-page layer, counted in `put_miss`. A settle that
+    /// finds nothing owed changes nothing.
+    ///
+    /// A settle that spills also adapts the bound, before the trim: it
+    /// halves the bound if `ready` never fell to half of it over a closed
+    /// low-water window, and it arms the pool, so that the next miss
+    /// grows the bound instead.
     pub fn settle(&self) -> Option<Chain> {
-        self.trim(2 * self.gbltarget, &self.locked.stats.put_miss)
+        let mut pool = self.lock();
+        self.regroup(&mut pool);
+        if pool.blocks(self.target) <= pool.bound {
+            return None;
+        }
+        // The low-water window closes once gets have drawn half the
+        // bound through it; a window that saw less demand stays open, so
+        // the spills of a put-heavy stretch, each a moment after the last
+        // with the pool still full, judge nothing.
+        let drawn = self.drawn();
+        let closes = (drawn - pool.window_opened) * self.target as u64 >= pool.bound as u64 / 2;
+        if closes && pool.ready.low * self.target > pool.bound / 2 {
+            pool.bound = (pool.bound / 2).max(2 * self.gbltarget);
+        }
+        pool.armed = true;
+        let bound = pool.bound;
+        let spill = self.shed(&mut pool, bound, &self.locked.stats.put_miss);
+        if closes {
+            self.open_window(&mut pool);
+        }
+        Some(spill)
+    }
+
+    /// Chains handed out so far, ready, bucket or stolen: the clock of the
+    /// low-water window, read off the counters gets already bump.
+    fn drawn(&self) -> u64 {
+        self.locked.stats.get_fast.get() + self.locked.stats.get_bucket_hits.get()
+    }
+
+    /// Opens a new low-water window at the pool's present depth.
+    fn open_window(&self, pool: &mut Pool) {
+        pool.window_opened = self.drawn();
+        pool.ready.low = pool.ready.len();
     }
 
     /// [`GlobalPool::put`] followed, when owed, by [`GlobalPool::settle`]:
@@ -539,30 +732,37 @@ impl GlobalPool {
     /// Trims the pool down to `bound` blocks on behalf of the pressure
     /// ladder, returning the spill for the caller to push to the
     /// coalesce-to-page layer. `None` when the pool is already within
-    /// bounds. Counted in `pressure_spills`, not `put_miss`.
+    /// bounds. Counted in `pressure_spills`, not `put_miss`. Snaps a grown
+    /// bound back to `2 * gbltarget` first, whether or not anything spills.
     pub fn spill_to(&self, bound: usize) -> Option<Chain> {
-        self.trim(bound, &self.locked.stats.pressure_spills)
+        let mut pool = self.lock();
+        self.reset(&mut pool);
+        self.regroup(&mut pool);
+        if pool.blocks(self.target) <= bound {
+            return None;
+        }
+        Some(self.shed(&mut pool, bound, &self.locked.stats.pressure_spills))
     }
 
-    /// Regroups the bucket, then sheds exactly the blocks over `bound`,
-    /// attributing a non-empty spill to `cause` and `spill_blocks`.
-    ///
     /// "The bucket list, which is used to group the blocks back into
-    /// target-sized lists": whole chains move to `ready` while it has
-    /// room. The trim then sheds the bucket's leftover blocks first (they
-    /// serve only short gets), then whole ready chains, and splits the
-    /// last one so the pool lands exactly on the bound (a walk of fewer
-    /// than `target` links, once per trim).
-    fn trim(&self, bound: usize, cause: &LocalCounter) -> Option<Chain> {
-        let mut pool = self.lock();
-        while pool.bucket.len() >= self.target && !pool.ready.is_full() {
+    /// target-sized lists": whole chains move to `ready` while the bound
+    /// leaves it room.
+    fn regroup(&self, pool: &mut Pool) {
+        while pool.bucket.len() >= self.target && pool.ready_has_room(self.target) {
             let (head, tail, _) = pool.bucket.split_first(self.target).into_raw();
             pool.ready.push((head, tail));
         }
-        let mut excess = pool
-            .blocks(self.target)
-            .checked_sub(bound)
-            .filter(|&n| n > 0)?;
+    }
+
+    /// Sheds exactly the blocks over `bound` (the pool holds more),
+    /// attributing the spill to `cause` and `spill_blocks`.
+    ///
+    /// The bucket's leftover blocks go first (they serve only short gets),
+    /// then whole ready chains, and the last one is split so the pool
+    /// lands exactly on the bound (a walk of fewer than `target` links,
+    /// once per trim).
+    fn shed(&self, pool: &mut Pool, bound: usize, cause: &LocalCounter) -> Chain {
+        let mut excess = pool.blocks(self.target) - bound;
         let n = excess.min(pool.bucket.len());
         let mut spill = if n > 0 {
             pool.bucket.split_first(n)
@@ -589,7 +789,7 @@ impl GlobalPool {
         }
         cause.bump();
         self.locked.stats.spill_blocks.add(spill.len() as u64);
-        Some(spill)
+        spill
     }
 
     /// Current block count, exact (tests, the invariant walker, and the
@@ -610,9 +810,11 @@ impl GlobalPool {
         self.sunk.load(Ordering::Relaxed)
     }
 
-    /// Drains every block (arena teardown and low-memory reclaim).
+    /// Drains every block (arena teardown and low-memory reclaim),
+    /// snapping a grown bound back to `2 * gbltarget`.
     pub fn drain_all(&self) -> Chain {
         let mut pool = self.lock();
+        self.reset(&mut pool);
         let mut all = pool.bucket.take();
         while let Some(pair) = pool.ready.pop() {
             // SAFETY: just popped off `ready`.
@@ -984,6 +1186,242 @@ mod tests {
         let (one, full) = (steps_at(1), steps_at(9));
         assert_eq!(one, full, "a deeper pool must not cost more steps");
         assert_eq!(one, ("Lu".to_string(), "Lu".to_string()));
+
+        // A pool grown to its cap: `ready` holds `cap / target + 1` chains,
+        // and a get and a put at that depth still take the lock once.
+        let mut blocks = Blocks::new(512);
+        let pool = growable();
+        grow_to_cap(&pool, &mut blocks);
+        let chains = pool.cap() / pool.target() + 1;
+        for _ in 0..chains {
+            pool.put(blocks.chain(pool.target()));
+        }
+        assert_eq!(pool.len(), pool.target() * chains);
+        let (c, get) = probe::record(|| pool.get_chain().unwrap());
+        let (_, put) = probe::record(|| pool.put(c));
+        assert_eq!(
+            (probe::steps(&get), probe::steps(&put)),
+            one,
+            "a grown pool must not cost more steps"
+        );
+        discard(pool.drain_all());
+    }
+
+    /// A pool whose bound can grow: blocks of 4 KB, so the cap is
+    /// [`GROWTH_PAGES`] blocks, from a floor of `2 * 3`.
+    fn growable() -> GlobalPool {
+        GlobalPool::sized(PAGE_SIZE, 2, 3, Faults::none(), LinkKey::PLAIN)
+    }
+
+    /// Puts exact chains until a settle spills; returns the spill.
+    fn put_until_spill(pool: &GlobalPool, blocks: &mut Blocks) -> Chain {
+        loop {
+            if let Some(spill) = pool.put_chain(blocks.chain(pool.target())) {
+                return spill;
+            }
+        }
+    }
+
+    /// Gets until the pool misses.
+    fn get_until_miss(pool: &GlobalPool) {
+        while let Some(c) = pool.get_chain() {
+            discard(c);
+        }
+    }
+
+    /// Spill, then miss, until the bound stops growing; returns the
+    /// bounds it passed through.
+    fn grow_to_cap(pool: &GlobalPool, blocks: &mut Blocks) -> Vec<usize> {
+        let mut seen = vec![pool.bound()];
+        while pool.bound() < pool.cap() {
+            discard(put_until_spill(pool, blocks));
+            get_until_miss(pool);
+            seen.push(pool.bound());
+        }
+        seen
+    }
+
+    #[test]
+    fn bound_doubles_on_a_miss_after_a_spill_up_to_the_cap() {
+        let mut blocks = Blocks::new(512);
+        let pool = growable();
+        assert_eq!((pool.bound(), pool.cap()), (6, GROWTH_PAGES));
+        // A miss with no spill before it grows nothing.
+        get_until_miss(&pool);
+        assert_eq!(pool.bound(), 6);
+        let mut expected = vec![6];
+        while expected.last() != Some(&GROWTH_PAGES) {
+            expected.push((2 * expected.last().unwrap()).min(GROWTH_PAGES));
+        }
+        assert_eq!(grow_to_cap(&pool, &mut blocks), expected);
+        assert_eq!(pool.stats().bound_grows.get(), expected.len() as u64 - 1);
+        // At the cap a spill and a miss change nothing.
+        discard(put_until_spill(&pool, &mut blocks));
+        assert_eq!(pool.len(), GROWTH_PAGES, "a grown pool trims to its bound");
+        get_until_miss(&pool);
+        assert_eq!(pool.bound(), GROWTH_PAGES);
+        // One spill grows the bound once: the miss disarms it.
+        assert!(pool.get_chain().is_none());
+        assert_eq!(pool.stats().bound_grows.get(), expected.len() as u64 - 1);
+    }
+
+    #[test]
+    fn bound_halves_when_a_window_of_demand_never_needed_the_top_half() {
+        let mut blocks = Blocks::new(512);
+        let pool = growable();
+        grow_to_cap(&pool, &mut blocks);
+        let (cap, target) = (pool.cap(), pool.target());
+        // Fill to the cap and spill once: the window that closes there saw
+        // the pool drained to nothing, so the bound holds.
+        discard(put_until_spill(&pool, &mut blocks));
+        assert_eq!((pool.bound(), pool.len()), (cap, cap));
+        // Put-heavy stretch: spill after spill, no get between them. The
+        // window stays open and the bound holds.
+        for _ in 0..8 {
+            discard(pool.put_chain(blocks.chain(target)).unwrap());
+        }
+        assert_eq!(pool.bound(), cap);
+        // Half the bound's worth drawn, one chain at a time, with the pool
+        // never below `cap - target`: the next spill halves the bound and
+        // trims to it.
+        for _ in 0..cap / 2 / target {
+            let c = pool.get_chain().unwrap();
+            assert!(pool.put_chain(c).is_none());
+        }
+        discard(put_until_spill(&pool, &mut blocks));
+        assert_eq!((pool.bound(), pool.len()), (cap / 2, cap / 2));
+        // Now draw the pool down to exactly half of the bound: that demand
+        // needed the top half, and the bound holds.
+        let bound = pool.bound();
+        let taken: Vec<Chain> = (0..bound / 2 / target)
+            .map(|_| pool.get_chain().unwrap())
+            .collect();
+        for c in taken {
+            assert!(pool.put_chain(c).is_none());
+        }
+        discard(put_until_spill(&pool, &mut blocks));
+        assert_eq!(pool.bound(), bound);
+        // Halving stops at the paper's bound.
+        for _ in 0..8 {
+            for _ in 0..pool.bound() / target {
+                let c = pool.get_chain().unwrap();
+                assert!(pool.put_chain(c).is_none());
+            }
+            discard(put_until_spill(&pool, &mut blocks));
+        }
+        assert_eq!(pool.bound(), 2 * pool.gbltarget());
+        assert_eq!(pool.stats().bound_resets.get(), 0, "a halving is no reset");
+        discard(pool.drain_all());
+    }
+
+    #[test]
+    fn spill_to_and_drain_all_snap_the_bound_back() {
+        let mut blocks = Blocks::new(512);
+        let pool = growable();
+        let floor = 2 * pool.gbltarget();
+        // A reset of a bound at the floor is no reset.
+        assert!(pool.spill_to(pool.gbltarget()).is_none());
+        assert_eq!(pool.stats().bound_resets.get(), 0);
+
+        grow_to_cap(&pool, &mut blocks);
+        discard(put_until_spill(&pool, &mut blocks)); // armed again
+        discard(pool.spill_to(pool.gbltarget()).unwrap());
+        assert_eq!((pool.bound(), pool.len()), (floor, pool.gbltarget()));
+        assert_eq!(pool.stats().bound_resets.get(), 1);
+        // The reset disarmed the pool: the next miss grows nothing.
+        get_until_miss(&pool);
+        assert_eq!(pool.bound(), floor);
+
+        grow_to_cap(&pool, &mut blocks);
+        discard(put_until_spill(&pool, &mut blocks));
+        discard(pool.drain_all());
+        assert_eq!(pool.bound(), floor);
+        assert_eq!(pool.stats().bound_resets.get(), 2);
+        assert!(pool.get_chain().is_none());
+        assert_eq!(pool.bound(), floor, "drain_all disarms too");
+    }
+
+    #[test]
+    fn injected_misses_and_steals_never_grow_the_bound() {
+        let mut blocks = Blocks::new(512);
+        let faults = Faults::with_plan();
+        let pool = GlobalPool::sized(PAGE_SIZE, 2, 3, faults.clone(), LinkKey::PLAIN);
+        discard(put_until_spill(&pool, &mut blocks)); // armed
+                                                      // An injected miss, with blocks in the pool or without.
+        let plan = faults.plan().unwrap();
+        plan.set(faults::GLOBAL_GET, FailPolicy::Script(vec![true]));
+        assert_eq!(pool.get(true).unwrap_err(), Miss::Injected);
+        assert_eq!(pool.bound(), 6);
+        // Steals empty the pool and find it empty; neither grows.
+        while let Some(c) = pool.steal_chain() {
+            discard(c);
+        }
+        assert!(pool.steal_chain().is_none());
+        assert_eq!(pool.bound(), 6);
+        // A miss a steal may still serve leaves the growth to the caller.
+        assert!(pool.put_chain(blocks.chain(2)).is_none());
+        get_until_miss_deferred(&pool);
+        assert_eq!(pool.bound(), 6);
+        pool.grow_after_miss();
+        assert_eq!(pool.bound(), 12, "the armed pool grew once");
+        assert_eq!(pool.stats().bound_grows.get(), 1);
+        discard(pool.drain_all());
+    }
+
+    fn get_until_miss_deferred(pool: &GlobalPool) {
+        while let Ok(c) = pool.get(false) {
+            discard(c);
+        }
+    }
+
+    /// Adapting the bound happens under the lock a settle or a miss
+    /// already holds: the same steps as at the paper's static bound.
+    #[test]
+    fn adapting_the_bound_adds_no_lock_acquisition() {
+        let mut blocks = Blocks::new(512);
+        let fixed = GlobalPool::new(2, 3);
+        let pool = growable();
+        grow_to_cap(&pool, &mut blocks);
+        discard(put_until_spill(&pool, &mut blocks));
+        for p in [&fixed, &pool] {
+            while !p.put(blocks.chain(2)) {}
+        }
+        // The grown pool's settle closes a window and halves its bound.
+        for _ in 0..pool.cap() / 2 / pool.target() {
+            let c = pool.get_chain().unwrap();
+            pool.put(c);
+        }
+        let bound = pool.bound();
+        let (spill, fixed_settle) = probe::record(|| fixed.settle().unwrap());
+        discard(spill);
+        let (spill, halving_settle) = probe::record(|| pool.settle().unwrap());
+        discard(spill);
+        assert_eq!(pool.bound(), bound / 2, "the settle halved the bound");
+        assert_eq!(probe::steps(&fixed_settle), "Lu");
+        assert_eq!(probe::steps(&halving_settle), "Lu");
+        // The miss that grows an armed bound, against one that cannot.
+        get_until_miss(&fixed);
+        get_until_miss(&pool);
+        discard(put_until_spill(&pool, &mut blocks));
+        get_until_miss_with_steps(&pool, bound / 2);
+        discard(fixed.drain_all());
+        discard(pool.drain_all());
+    }
+
+    /// Drains `pool` and checks that the growing miss at the end takes the
+    /// lock once, like a miss at a bound that cannot grow.
+    fn get_until_miss_with_steps(pool: &GlobalPool, bound: usize) {
+        loop {
+            let (got, steps) = probe::record(|| pool.get_chain());
+            assert_eq!(probe::steps(&steps), "Lu");
+            match got {
+                Some(c) => {
+                    discard(c);
+                }
+                None => break,
+            }
+        }
+        assert_eq!(pool.bound(), 2 * bound, "the miss grew the bound");
     }
 
     /// Fast/slow totals partition `get`/`put` exactly at quiescence.

@@ -13,8 +13,8 @@
 //! 2. **Global layer** ([`global`]) — per size class (and node), one
 //!    spinlocked pool: an array of ready `target`-sized chains (the
 //!    paper's `gblfree` list) plus a bucket list that regroups odd chains,
-//!    with an exact block count; a settle trims it to `2 * gbltarget`
-//!    blocks.
+//!    with an exact block count; a settle trims it to the pool's bound,
+//!    which starts at `2 * gbltarget` blocks and adapts to churn.
 //! 3. **Coalesce-to-page layer** ([`pagelayer`]) — per-page freelists and
 //!    free counts; pages radix-sorted by free count so the fullest pages
 //!    are allocated from first; a fully free page returns its physical

@@ -241,6 +241,9 @@ counters! {
         gauge target: usize,
         /// The class's global-layer `gbltarget` parameter.
         gauge gbltarget: usize,
+        /// The global layer's effective bound in blocks: the largest over
+        /// the class's shards, `2 * gbltarget` until a shard grows it.
+        gauge global_bound: usize,
         /// One entry per CPU, indexed by CPU number.
         nested per_cpu: Vec<CacheCounts>,
         /// Global pool detail.
@@ -484,6 +487,7 @@ mod tests {
                 size: 64,
                 target: 4,
                 gbltarget: 8,
+                global_bound: 16,
                 per_cpu,
                 global: GlobalCounts::default(),
                 page: PageCounts::default(),
@@ -531,6 +535,7 @@ mod tests {
             size: 128,
             target: 4,
             gbltarget: 8,
+            global_bound: 16,
             per_cpu: vec![counts(1, 0, 1), counts(2, 0, 2)],
             global: GlobalCounts::default(),
             page: PageCounts::default(),
@@ -662,6 +667,7 @@ mod tests {
             size: s.next() as usize,
             target: s.next() as usize,
             gbltarget: s.next() as usize,
+            global_bound: s.next() as usize,
             per_cpu: vec![golden_cache(s), golden_cache(s)],
             global: GlobalCounts {
                 get: s.next(),
@@ -680,6 +686,8 @@ mod tests {
                 pressure_spills: s.next(),
                 spill_blocks: s.next(),
                 cas_retries: s.next(),
+                bound_grows: s.next(),
+                bound_resets: s.next(),
             },
             page: PageCounts {
                 refills: s.next(),
@@ -741,47 +749,48 @@ mod tests {
         assert_eq!(
             golden_snapshot().to_json(),
             "\
-             {\"classes\":[{\"size\":1,\"target\":2,\"gbltarget\":3,\
-             \"per_cpu\":[{\"alloc\":4,\"alloc_miss\":5,\"alloc_fail\":6,\
-             \"sleep_retries\":7,\"free\":8,\"free_miss\":9,\"refill\":10,\
-             \"refill_short\":11,\"refill_blocks\":12,\"flush_explicit\":13,\
-             \"flush_drain\":14,\"flush_lowmem\":15,\"flush_blocks\":16,\"occupancy\":[17,\
-             18,19,20,21,22,23,24]},{\"alloc\":25,\"alloc_miss\":26,\"alloc_fail\":27,\
-             \"sleep_retries\":28,\"free\":29,\"free_miss\":30,\"refill\":31,\
-             \"refill_short\":32,\"refill_blocks\":33,\"flush_explicit\":34,\
-             \"flush_drain\":35,\"flush_lowmem\":36,\"flush_blocks\":37,\"occupancy\":[38,\
-             39,40,41,42,43,44,45]}],\"global\":{\"get\":46,\"get_fast\":47,\
-             \"get_slow\":48,\"get_chain_hits\":49,\"get_bucket_hits\":50,\"get_short\":51,\
-             \"get_short_deficit\":52,\"get_miss\":53,\"put\":54,\"put_fast\":55,\
-             \"put_slow\":56,\"put_odd\":57,\"put_miss\":58,\"pressure_spills\":59,\
-             \"spill_blocks\":60,\"cas_retries\":61},\"page\":{\"refills\":62,\
-             \"page_acquires\":63,\"page_releases\":64,\"block_frees\":65,\
-             \"cas_retries\":66}},{\"size\":67,\"target\":68,\"gbltarget\":69,\
-             \"per_cpu\":[{\"alloc\":70,\"alloc_miss\":71,\"alloc_fail\":72,\
-             \"sleep_retries\":73,\"free\":74,\"free_miss\":75,\"refill\":76,\
-             \"refill_short\":77,\"refill_blocks\":78,\"flush_explicit\":79,\
-             \"flush_drain\":80,\"flush_lowmem\":81,\"flush_blocks\":82,\"occupancy\":[83,\
-             84,85,86,87,88,89,90]},{\"alloc\":91,\"alloc_miss\":92,\"alloc_fail\":93,\
-             \"sleep_retries\":94,\"free\":95,\"free_miss\":96,\"refill\":97,\
-             \"refill_short\":98,\"refill_blocks\":99,\"flush_explicit\":100,\
-             \"flush_drain\":101,\"flush_lowmem\":102,\"flush_blocks\":103,\
-             \"occupancy\":[104,105,106,107,108,109,110,111]}],\"global\":{\"get\":112,\
-             \"get_fast\":113,\"get_slow\":114,\"get_chain_hits\":115,\
-             \"get_bucket_hits\":116,\"get_short\":117,\"get_short_deficit\":118,\
-             \"get_miss\":119,\"put\":120,\"put_fast\":121,\"put_slow\":122,\
-             \"put_odd\":123,\"put_miss\":124,\"pressure_spills\":125,\"spill_blocks\":126,\
-             \"cas_retries\":127},\"page\":{\"refills\":128,\"page_acquires\":129,\
-             \"page_releases\":130,\"block_frees\":131,\"cas_retries\":132}}],\
-             \"nodes\":[{\"shard_blocks\":133,\"local_refills\":134,\"stolen_refills\":135,\
-             \"remote_spills\":136},{\"shard_blocks\":137,\"local_refills\":138,\
-             \"stolen_refills\":139,\"remote_spills\":140}],\"large_allocs\":141,\
-             \"large_frees\":142,\"vmblk_cache\":{\"hits\":143,\"puts\":144},\
-             \"vmblks_live\":145,\"phys_in_use\":146,\"phys_capacity\":147,\
-             \"pressure\":{\"level\":148,\"escalations\":[149,150,151],\
-             \"deescalations\":152,\"reapplied\":153},\"faults\":{\"hits\":154,\
-             \"fired\":155},\"hardened\":{\"corruption_reports\":156,\"poison_hits\":157,\
-             \"encode_faults\":158,\"quarantine_len\":159},\"maint\":{\"enabled\":true,\
-             \"posted\":160,\"deduped\":161,\"drained\":162,\"backlog\":163}}"
+             {\"classes\":[{\"size\":1,\"target\":2,\"gbltarget\":3,\"global_bound\":4,\
+             \"per_cpu\":[{\"alloc\":5,\"alloc_miss\":6,\"alloc_fail\":7,\
+             \"sleep_retries\":8,\"free\":9,\"free_miss\":10,\"refill\":11,\
+             \"refill_short\":12,\"refill_blocks\":13,\"flush_explicit\":14,\
+             \"flush_drain\":15,\"flush_lowmem\":16,\"flush_blocks\":17,\"occupancy\":[18,\
+             19,20,21,22,23,24,25]},{\"alloc\":26,\"alloc_miss\":27,\"alloc_fail\":28,\
+             \"sleep_retries\":29,\"free\":30,\"free_miss\":31,\"refill\":32,\
+             \"refill_short\":33,\"refill_blocks\":34,\"flush_explicit\":35,\
+             \"flush_drain\":36,\"flush_lowmem\":37,\"flush_blocks\":38,\"occupancy\":[39,\
+             40,41,42,43,44,45,46]}],\"global\":{\"get\":47,\"get_fast\":48,\
+             \"get_slow\":49,\"get_chain_hits\":50,\"get_bucket_hits\":51,\"get_short\":52,\
+             \"get_short_deficit\":53,\"get_miss\":54,\"put\":55,\"put_fast\":56,\
+             \"put_slow\":57,\"put_odd\":58,\"put_miss\":59,\"pressure_spills\":60,\
+             \"spill_blocks\":61,\"cas_retries\":62,\"bound_grows\":63,\
+             \"bound_resets\":64},\"page\":{\"refills\":65,\"page_acquires\":66,\
+             \"page_releases\":67,\"block_frees\":68,\"cas_retries\":69}},{\"size\":70,\
+             \"target\":71,\"gbltarget\":72,\"global_bound\":73,\"per_cpu\":[{\"alloc\":74,\
+             \"alloc_miss\":75,\"alloc_fail\":76,\"sleep_retries\":77,\"free\":78,\
+             \"free_miss\":79,\"refill\":80,\"refill_short\":81,\"refill_blocks\":82,\
+             \"flush_explicit\":83,\"flush_drain\":84,\"flush_lowmem\":85,\
+             \"flush_blocks\":86,\"occupancy\":[87,88,89,90,91,92,93,94]},{\"alloc\":95,\
+             \"alloc_miss\":96,\"alloc_fail\":97,\"sleep_retries\":98,\"free\":99,\
+             \"free_miss\":100,\"refill\":101,\"refill_short\":102,\"refill_blocks\":103,\
+             \"flush_explicit\":104,\"flush_drain\":105,\"flush_lowmem\":106,\
+             \"flush_blocks\":107,\"occupancy\":[108,109,110,111,112,113,114,115]}],\
+             \"global\":{\"get\":116,\"get_fast\":117,\"get_slow\":118,\
+             \"get_chain_hits\":119,\"get_bucket_hits\":120,\"get_short\":121,\
+             \"get_short_deficit\":122,\"get_miss\":123,\"put\":124,\"put_fast\":125,\
+             \"put_slow\":126,\"put_odd\":127,\"put_miss\":128,\"pressure_spills\":129,\
+             \"spill_blocks\":130,\"cas_retries\":131,\"bound_grows\":132,\
+             \"bound_resets\":133},\"page\":{\"refills\":134,\"page_acquires\":135,\
+             \"page_releases\":136,\"block_frees\":137,\"cas_retries\":138}}],\
+             \"nodes\":[{\"shard_blocks\":139,\"local_refills\":140,\"stolen_refills\":141,\
+             \"remote_spills\":142},{\"shard_blocks\":143,\"local_refills\":144,\
+             \"stolen_refills\":145,\"remote_spills\":146}],\"large_allocs\":147,\
+             \"large_frees\":148,\"vmblk_cache\":{\"hits\":149,\"puts\":150},\
+             \"vmblks_live\":151,\"phys_in_use\":152,\"phys_capacity\":153,\
+             \"pressure\":{\"level\":154,\"escalations\":[155,156,157],\
+             \"deescalations\":158,\"reapplied\":159},\"faults\":{\"hits\":160,\
+             \"fired\":161},\"hardened\":{\"corruption_reports\":162,\"poison_hits\":163,\
+             \"encode_faults\":164,\"quarantine_len\":165},\"maint\":{\"enabled\":true,\
+             \"posted\":166,\"deduped\":167,\"drained\":168,\"backlog\":169}}"
         );
     }
 
@@ -819,8 +828,8 @@ mod tests {
         let base_json = base.to_json();
         assert!(!base_json.contains("201"));
         let base_cells = cells(&base);
-        // The fixture numbers 163 cells; the `enabled` flag is the 164th.
-        assert_eq!(base_cells.len(), 164);
+        // The fixture numbers 169 cells; the `enabled` flag is the 170th.
+        assert_eq!(base_cells.len(), 170);
         for (k, (what, kind, was)) in base_cells.iter().enumerate() {
             // A flag cannot be raised; it (and the one gauge that reads
             // 1) is lowered instead.
@@ -851,8 +860,8 @@ mod tests {
             }
         }
         // Spot-check the paths the errors carry.
-        assert_eq!(base_cells[3].0, "classes[0].per_cpu[0].alloc");
-        assert_eq!(base_cells[163].0, "maint.backlog");
+        assert_eq!(base_cells[4].0, "classes[0].per_cpu[0].alloc");
+        assert_eq!(base_cells[169].0, "maint.backlog");
     }
 
     #[test]

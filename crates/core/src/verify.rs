@@ -14,7 +14,8 @@ use crate::arena::KmemArena;
 /// * vmblk layer: spans well formed, fully coalesced, freelists and
 ///   physical-frame accounting exact (see
 ///   [`crate::vmblklayer::VmblkLayer::verify`]);
-/// * global layer: every pool within `2 * gbltarget + ncpus * target`
+/// * global layer: every pool's effective bound within
+///   `2 * gbltarget..=cap`, and the pool within `bound + ncpus * target`
 ///   blocks. The pool's count is exact, but a put over the bound lands
 ///   its chain and leaves the trim to the settle it owes, so each CPU can
 ///   land one over-bound put before that settle runs (DESIGN.md §9);
@@ -31,13 +32,18 @@ pub fn verify_arena(arena: &KmemArena) {
     inner.vm().verify();
     let ncpus = arena.ncpus();
     for pool in inner.globals().iter() {
-        let len = pool.len();
-        let bound = 2 * pool.gbltarget() + ncpus * pool.target();
+        let (len, bound) = (pool.len(), pool.bound());
+        let (floor, cap) = (2 * pool.gbltarget(), pool.cap());
         assert!(
-            len <= bound,
-            "global pool holds {len} blocks, bound {bound} \
-             (2 * {} + {ncpus} CPUs * {})",
-            pool.gbltarget(),
+            (floor..=cap).contains(&bound),
+            "global pool bound {bound} outside 2 * {} ..= cap {cap}",
+            pool.gbltarget()
+        );
+        let limit = bound + ncpus * pool.target();
+        assert!(
+            len <= limit,
+            "global pool holds {len} blocks, limit {limit} \
+             (bound {bound} + {ncpus} CPUs * {})",
             pool.target()
         );
     }

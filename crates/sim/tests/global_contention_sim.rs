@@ -20,8 +20,8 @@
 //! (DESIGN.md §9).
 
 use kmem::global::GlobalPool;
-use kmem_baselines::spin::{backing, chain, discard};
 use kmem_sim::{SimConfig, SimResult, Simulator};
+use kmem_testkit::fake::{backing, chain, discard};
 
 const OPS: u64 = 400;
 const TARGET: usize = 4;

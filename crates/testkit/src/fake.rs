@@ -1,7 +1,7 @@
-//! Fake blocks for driving a chain pool without an arena: the global
-//! layer's contention bench and simulator test seed their pools from
-//! these. (The global layer is itself the paper's one lock per class, so
-//! it needs no baseline of its own.)
+//! Fake blocks for driving a global pool without an arena: boxed buffers
+//! with stable addresses, threaded into chains. The global layer's
+//! contention bench, its simulator test and its property test seed their
+//! pools from these.
 
 use kmem::chain::Chain;
 

@@ -22,11 +22,15 @@
 //!   `KMEM_TORTURE_FAULT_SEED` — proving injected failures surface as
 //!   typed errors without leaking blocks or wedging drain flags.
 //!
+//! [`fake`] adds the fake blocks that drive a global pool without an
+//! arena.
+//!
 //! The paper's central claims are concurrency claims — per-CPU caches
 //! never touch other CPUs' state, the global layer stays within
 //! `2 * gbltarget`, coalescing is complete — and this crate is how the
 //! repo exercises them under real multi-threaded load.
 
+pub mod fake;
 pub mod prop;
 pub mod rng;
 pub mod torture;

@@ -272,6 +272,23 @@ fn main() {
             n.shard_blocks, n.local_refills, n.stolen_refills, n.remote_spills,
         );
     }
+    // Per-class global bound: where each class's shards let it grow
+    // (`2 * gbltarget` until a spill is followed by a miss).
+    println!("\nper-class global bound:");
+    println!(
+        "{:>6} {:>10} {:>7} {:>7} {:>7}",
+        "size", "2*gbltgt", "bound", "grows", "resets"
+    );
+    for cs in &end.classes {
+        println!(
+            "{:>6} {:>10} {:>7} {:>7} {:>7}",
+            cs.size,
+            2 * cs.gbltarget,
+            cs.global_bound,
+            cs.global.bound_grows,
+            cs.global.bound_resets,
+        );
+    }
     // Corruption-defense counters: all zero for a healthy workload, in
     // the default profile *and* under --hardened (where the defenses are
     // armed and a nonzero count would be a real detection).

@@ -83,6 +83,13 @@ for t in 2 4 8; do
         cargo test -q --release --offline -p kmem-testkit \
         --test global_contention
 done
+# The adaptive bound: its schedule and step budgets (a get, a put and a
+# settle take the pool lock once, grown or not), the random-schedule
+# property test, the two-CPU wave test, and one fault round with
+# global.get and global.spill armed against pools the waves have grown.
+cargo test -q --release --offline -p kmem --lib global::tests
+KMEM_GLOBAL_THREADS=4 cargo test -q --release --offline -p kmem-testkit \
+    --test global_bound
 
 echo "==> page-layer contention regression (thread sweep, faults on)"
 # The page layer (one lock per class) over the vmblk layer under real
